@@ -1,22 +1,22 @@
 """JSONL serialization for labeled bug datasets (whole-file and sharded).
 
-All writers publish *atomically*: content lands in a temporary sibling
-file, is fsync'd, and replaces the destination with ``os.replace``.  An
-interrupted save therefore leaves either the previous file intact or the
-new one complete — never a half-written dataset that a later load would
-have to guess about.
+All writers publish *atomically* through
+:func:`repro.recovery.durable.atomic_write`.  An interrupted save
+therefore leaves either the previous file intact or the new one complete
+— never a half-written dataset that a later load would have to guess
+about.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.corpus.dataset import BugDataset, LabeledBug
 from repro.errors import CorpusError
+from repro.recovery.durable import atomic_write
 from repro.taxonomy import BugLabel
 from repro.trackers.models import BugReport
 
@@ -28,38 +28,19 @@ _SHARD_NAME = "shard-{index:04d}.jsonl"
 _MANIFEST_NAME = "manifest.json"
 
 
-def _atomic_write_text(path: Path, write: "Callable[..., None]") -> None:
-    """Write through a tmp sibling + fsync + ``os.replace``.
-
-    ``write(handle)`` produces the content.  If it raises, the destination
-    is untouched and the tmp file is removed — a crashed or failing writer
-    can never tear an existing dataset.
-    """
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            write(handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def save_dataset_jsonl(dataset: BugDataset, path: str | Path) -> None:
     """Write one ``{"report": ..., "label": ...}`` JSON object per line.
 
     The write is atomic: readers see the old file or the new file, never a
     prefix of the new one.
     """
-    path = Path(path)
-
-    def _write(handle) -> None:
-        for bug in dataset:
-            record = {"report": bug.report.to_dict(), "label": bug.label.to_dict()}
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-
-    _atomic_write_text(path, _write)
+    atomic_write(path, "".join(
+        json.dumps(
+            {"report": bug.report.to_dict(), "label": bug.label.to_dict()},
+            sort_keys=True,
+        ) + "\n"
+        for bug in dataset
+    ))
 
 
 def load_dataset_jsonl(path: str | Path) -> BugDataset:
@@ -141,9 +122,8 @@ def save_dataset_shards(
     # leaves either the previous manifest (still describing a complete old
     # layout) or no manifest — load_dataset_shards never sees a manifest
     # pointing at shards that were not fully written before it.
-    _atomic_write_text(
-        directory / _MANIFEST_NAME,
-        lambda handle: handle.write(json.dumps(manifest, indent=2, sort_keys=True)),
+    atomic_write(
+        directory / _MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True)
     )
     return paths
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import signal
 import sys
 
 
@@ -33,23 +31,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     from repro.fuzzing.campaign import FuzzConfig, run_campaign
+    from repro.recovery.harness import kill_at, write_verdict
 
     config = FuzzConfig(**json.loads(args.config))
-    events_seen = 0
-
-    def _kill_at_k(event) -> None:
-        nonlocal events_seen
-        events_seen += 1
-        if args.kill_after > 0 and events_seen >= args.kill_after:
-            # The k-th event is already fsync'd; die with no goodbye.
-            os.kill(os.getpid(), signal.SIGKILL)
-
     report = run_campaign(
         config,
         args.run_dir,
         resume=args.resume,
         jobs=args.jobs,
-        on_event=_kill_at_k,
+        on_event=kill_at(args.kill_after),
     )
     verdict = {
         "fingerprint": report.state.fingerprint(),
@@ -58,11 +48,7 @@ def main(argv: list[str] | None = None) -> int:
         "signatures": len(report.state.signatures),
         "reproducers": len(report.state.reproducers),
     }
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(verdict, handle, indent=2, sort_keys=True)
-    else:
-        json.dump(verdict, sys.stdout, indent=2, sort_keys=True)
+    write_verdict(verdict, args.out)
     return 0
 
 

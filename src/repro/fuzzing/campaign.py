@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,13 +54,8 @@ from repro.fuzzing.mutate import mutate, random_event
 from repro.fuzzing.topology import TOPOLOGY_KINDS, Topology, build_topology
 from repro.ml.tree import DecisionTreeClassifier
 from repro.parallel.executor import WorkPool
-from repro.recovery.checkpoint import open_run_journal
-from repro.recovery.journal import (
-    EVENT_BEGIN,
-    EVENT_COMMIT,
-    EVENT_RUN_END,
-    JournalEvent,
-)
+from repro.recovery.durable import atomic_json, atomic_write, open_fold, run_batches
+from repro.recovery.journal import JournalEvent
 
 #: Minimum observations (with both outcomes present) before the tree votes.
 _MIN_TRAIN = 8
@@ -469,61 +463,41 @@ class FuzzCampaign:
     # -- orchestration ---------------------------------------------------------
     def run(self, *, resume: bool = False) -> FuzzReport:
         config = self.config
-        self.run_dir.mkdir(parents=True, exist_ok=True)
-        journal, committed = open_run_journal(
-            self.run_dir / "journal.jsonl",
+        pool = WorkPool(self.jobs, backend="auto" if self.jobs > 1 else "serial")
+        with open_fold(
+            self.run_dir,
             f"fuzz-{config.seed}",
             resume=resume,
             config_digest=config.digest(),
+            load=load_state,
+            init=lambda: FuzzState(config=config.to_dict()),
             on_event=self._on_event,
-        )
-        try:
-            state, start = self._load_or_init(committed)
-            batches = 0
-            if start < config.n_batches:
-                pool = WorkPool(self.jobs, backend="auto" if self.jobs > 1 else "serial")
-                for k in range(start, config.n_batches):
-                    stage = f"batch-{k:04d}"
-                    journal.append(EVENT_BEGIN, stage=stage)
-                    self._step(state, k, pool)
-                    snapshot = f"state-{k:04d}.json"
-                    digest = save_state(state, self.run_dir / snapshot)
-                    journal.append(
-                        EVENT_COMMIT, stage=stage, key=snapshot, digest=digest
-                    )
-                    self._prune_snapshots(keep=snapshot)
-                    batches += 1
-                    self._progress(
-                        f"batch {k + 1}/{config.n_batches}: "
-                        f"{len(state.coverage)} tokens, "
-                        f"{len(state.signatures)} violation signatures"
-                    )
-            journal.append(EVENT_RUN_END)
-            self._export(state)
-            return FuzzReport(
-                config=config,
-                state=state,
-                run_dir=self.run_dir,
-                resumed=resume,
-                batches_executed=batches,
+        ) as (journal, state):
+
+            def progress(k: int) -> None:
+                self._progress(
+                    f"batch {k + 1}/{config.n_batches}: "
+                    f"{len(state.coverage)} tokens, "
+                    f"{len(state.signatures)} violation signatures"
+                )
+
+            batches = run_batches(
+                journal,
+                self.run_dir,
+                state,
+                config.n_batches,
+                lambda k: self._step(state, k, pool),
+                save_state,
+                progress,
             )
-        finally:
-            journal.close()
-
-    def _load_or_init(
-        self, committed: dict[str, JournalEvent]
-    ) -> tuple[FuzzState, int]:
-        batch_stages = sorted(s for s in committed if s.startswith("batch-"))
-        if not batch_stages:
-            return FuzzState(config=self.config.to_dict()), 0
-        last = committed[batch_stages[-1]]
-        state = load_state(self.run_dir / last.key, expect_digest=last.digest)
-        return state, state.batch_index + 1
-
-    def _prune_snapshots(self, *, keep: str) -> None:
-        for path in sorted(self.run_dir.glob("state-*.json")):
-            if path.name != keep:
-                path.unlink()
+        self._export(state)
+        return FuzzReport(
+            config=config,
+            state=state,
+            run_dir=self.run_dir,
+            resumed=resume,
+            batches_executed=batches,
+        )
 
     def _export(self, state: FuzzState) -> None:
         coverage = {
@@ -535,37 +509,13 @@ class FuzzCampaign:
             "corpus_size": len(state.corpus),
             "fingerprint": state.fingerprint(),
         }
-        _atomic_json(self.run_dir / "coverage.json", coverage)
+        atomic_json(self.run_dir / "coverage.json", coverage)
         reproducers = [
             state.reproducers[key].to_dict() for key in sorted(state.reproducers)
         ]
-        _atomic_json(self.run_dir / "reproducers.json", reproducers)
-        _atomic_text(self.run_dir / "metrics.jsonl",
+        atomic_json(self.run_dir / "reproducers.json", reproducers)
+        atomic_write(self.run_dir / "metrics.jsonl",
                      state_metrics(state).export_jsonl())
-
-
-def _atomic_json(path: Path, payload: Any) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=1)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _atomic_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def run_campaign(

@@ -9,20 +9,22 @@ its last committed snapshot converges on exactly the final state an
 uninterrupted run produces (the PR-4 recovery discipline, applied to
 fuzzing).
 
-Snapshots are written via tmp + fsync + ``os.replace`` and journaled by
-digest; loading verifies the digest the journal promised.
+Snapshots go through the durable runtime (:mod:`repro.recovery.durable`):
+each is the state's compact canonical JSON, published atomically, and its
+journaled sha256 is exactly :meth:`FuzzState.fingerprint`; loading
+verifies the digest the journal promised.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 from repro.errors import FuzzError
+from repro.recovery.durable import load_snapshot, save_snapshot
 
 #: Snapshot schema version, bumped on incompatible state changes.
 STATE_VERSION = 1
@@ -165,38 +167,12 @@ class FuzzState:
 
 # -- snapshot IO ----------------------------------------------------------------
 
-def save_state(state: FuzzState, path: str | Path) -> str:
-    """Atomically write a snapshot; returns its sha256 digest."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(state.to_dict(), sort_keys=True, indent=1)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+#: Atomically write a snapshot; returns its digest, ``state.fingerprint()``.
+save_state = save_snapshot
 
 
 def load_state(path: str | Path, *, expect_digest: str | None = None) -> FuzzState:
     """Load a snapshot, verifying the digest the journal promised."""
-    path = Path(path)
-    if not path.exists():
-        raise FuzzError(f"{path}: fuzz state snapshot does not exist")
-    payload = path.read_text(encoding="utf-8")
-    if expect_digest is not None:
-        actual = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        if actual != expect_digest:
-            raise FuzzError(
-                f"{path}: snapshot digest mismatch (journal promised "
-                f"{expect_digest[:12]}..., found {actual[:12]}...)"
-            )
-    try:
-        data = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise FuzzError(f"{path}: snapshot is not valid JSON: {exc}") from exc
-    return FuzzState.from_dict(data)
+    return load_snapshot(
+        path, FuzzState.from_dict, FuzzError, "fuzz", expect_digest=expect_digest
+    )

@@ -50,13 +50,6 @@ QUARANTINE_DIRNAME = ".quarantine"
 _FORMAT_VERSION = 1
 
 
-def _fsync_replace(tmp: Path, path: Path) -> None:
-    """Durably publish ``tmp`` as ``path``: fsync the data, then rename."""
-    with tmp.open("rb") as handle:
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-
-
 class CacheError(ReproError):
     """A cache key could not be derived from the given parameters."""
 
@@ -193,7 +186,8 @@ class ArtifactCache:
         target_dir.mkdir(parents=True, exist_ok=True)
         for artifact in (path, self._meta_path(path)):
             if artifact.exists():
-                os.replace(artifact, target_dir / artifact.name)
+                # Moves existing evidence aside; it publishes no new bytes.
+                os.replace(artifact, target_dir / artifact.name)  # sdnlint: disable=raw-publish
         (target_dir / f"{path.stem}.reason").write_text(reason + "\n")
         self.quarantined += 1
 
@@ -269,11 +263,11 @@ class ArtifactCache:
     ) -> Path:
         """Store ``value`` with a digest-bearing sidecar; returns the path.
 
-        Both files publish atomically (tmp sibling + ``os.replace`` after
-        fsync), sidecar first: a crash between the two leaves either a
-        stale pair (digest mismatch -> quarantined on next read) or a
-        sidecar without payload (a plain miss) — never a silently-wrong
-        artifact.
+        Both files publish through
+        :func:`~repro.recovery.durable.atomic_write`, sidecar first: a
+        crash between the two leaves either a stale pair (digest mismatch
+        -> quarantined on next read) or a sidecar without payload (a plain
+        miss) — never a silently-wrong artifact.
         """
         path = self.path_for(namespace, params)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -290,13 +284,11 @@ class ArtifactCache:
         }
         if extra_meta:
             meta.update(canonicalize(dict(extra_meta)))
-        meta_path = self._meta_path(path)
-        meta_tmp = meta_path.with_suffix(".json.tmp")
-        meta_tmp.write_text(json.dumps(meta, indent=2, sort_keys=True))
-        _fsync_replace(meta_tmp, meta_path)
-        tmp = path.with_suffix(".pkl.tmp")
-        tmp.write_bytes(data)
-        _fsync_replace(tmp, path)
+        # Imported here: importing repro.recovery imports this module.
+        from repro.recovery.durable import atomic_write
+
+        atomic_write(self._meta_path(path), json.dumps(meta, indent=2, sort_keys=True))
+        atomic_write(path, data)
         return path
 
     def get_or_compute(

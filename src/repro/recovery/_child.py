@@ -13,9 +13,6 @@ by :class:`repro.recovery.CrashHarness`.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import signal
 import sys
 
 
@@ -38,16 +35,7 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.parallel import ArtifactCache
     from repro.pipeline.scaling import run_pipeline
-    from repro.recovery.harness import pipeline_fingerprint
-
-    events_seen = 0
-
-    def _kill_at_k(event) -> None:
-        nonlocal events_seen
-        events_seen += 1
-        if args.kill_after > 0 and events_seen >= args.kill_after:
-            # The k-th event is already fsync'd; die with no goodbye.
-            os.kill(os.getpid(), signal.SIGKILL)
+    from repro.recovery.harness import kill_at, pipeline_fingerprint, write_verdict
 
     cache = ArtifactCache(args.cache_root)
     result = run_pipeline(
@@ -59,16 +47,12 @@ def main(argv: list[str] | None = None) -> int:
         nmf_restarts=args.restarts,
         run_id=None if args.resume else args.run_id,
         resume=args.run_id if args.resume else None,
-        on_journal_event=_kill_at_k,
+        on_journal_event=kill_at(args.kill_after),
     )
     fingerprint = pipeline_fingerprint(result)
     fingerprint["skipped_stages"] = result.skipped_stages
     fingerprint["quarantined"] = cache.stats()["quarantined"]
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(fingerprint, handle, indent=2, sort_keys=True)
-    else:
-        json.dump(fingerprint, sys.stdout, indent=2, sort_keys=True)
+    write_verdict(fingerprint, args.out)
     return 0
 
 

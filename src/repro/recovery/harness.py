@@ -11,6 +11,13 @@ the result against an uninterrupted reference run **bit for bit**: same
 accuracies, topics, confusion matrices, classifier-weight digests, and the
 same sha256 for every checkpoint payload in the cache tree.
 
+The child side of that protocol is shared by every plane's kill-injection
+child (``repro.recovery._child``, ``repro.fuzzing._child``,
+``repro.stream._child``): :func:`kill_at` builds the ``on_event`` hook,
+:func:`write_verdict` reports the outcome, :func:`child_env` puts the
+parent's source tree on the child's path, and :func:`kill_resume_verdicts`
+drives the fuzz and ingest smoke campaigns.
+
 A second fault mode simulates *torn writes*: :func:`tear_file` truncates a
 checkpoint, cache payload, or journal at an arbitrary byte offset, the way
 a crashed kernel flush or interrupted copy would.  Resume must quarantine
@@ -27,16 +34,90 @@ import subprocess
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.parallel.cache import QUARANTINE_DIRNAME, ArtifactCache
-from repro.recovery.journal import JournalReplay, replay_journal
+from repro.recovery.journal import JournalEvent, JournalReplay, replay_journal
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.scaling import PipelineResult
 
 #: Journal directory name used under a harness cache root.
 JOURNAL_DIRNAME = ".journal"
+
+
+def kill_at(k: int) -> Callable[[JournalEvent], None]:
+    """An ``on_event`` hook that SIGKILLs this process at the k-th event.
+
+    The hook runs only after the event is fsync'd, so exactly ``k`` events
+    survive the kill.  ``k <= 0`` never kills.
+    """
+    seen = 0
+
+    def hook(event: JournalEvent) -> None:
+        nonlocal seen
+        seen += 1
+        if k > 0 and seen >= k:
+            # The k-th event is already durable; die with no goodbye.
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    return hook
+
+
+def write_verdict(payload: Any, out: str | Path | None) -> None:
+    """Write a child's verdict JSON to ``out``, or to stdout without one."""
+    if out:
+        with open(out, "w") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+    else:
+        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+
+
+def child_env() -> dict[str, str]:
+    """This environment with the package's source root on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    src_root = str(Path(__file__).resolve().parents[2])
+    existing = env.get("PYTHONPATH", "")
+    if src_root not in existing.split(os.pathsep):
+        env["PYTHONPATH"] = src_root + (os.pathsep + existing if existing else "")
+    return env
+
+
+def kill_resume_verdicts(
+    module: str,
+    config: Mapping[str, Any],
+    workdir: Path,
+    kill_events: Sequence[int],
+    resume: Callable[[Path], str],
+    reference: str,
+) -> list[dict[str, Any]]:
+    """SIGKILL a ``python -m <module>`` child at each journal offset, resume
+    it in-process, and compare the resumed fingerprint to ``reference``.
+
+    ``module`` takes ``--run-dir``, ``--config`` (JSON) and
+    ``--kill-after``; ``resume(run_dir)`` returns the resumed fingerprint.
+    Each verdict is printed as it lands.
+    """
+    verdicts: list[dict[str, Any]] = []
+    for k in kill_events:
+        run_dir = workdir / f"kill-{k}"
+        child = subprocess.run(
+            [sys.executable, "-m", module, "--run-dir", str(run_dir),
+             "--config", json.dumps(dict(config)), "--kill-after", str(k)],
+            env=child_env(), capture_output=True, text=True, timeout=600.0,
+        )
+        killed = child.returncode == -signal.SIGKILL
+        fingerprint = resume(run_dir)
+        identical = fingerprint == reference
+        verdicts.append({
+            "label": f"kill-{k}",
+            "killed": killed,
+            "fingerprint": fingerprint,
+            "bit_identical": identical,
+        })
+        print(f"  {'PASS' if killed and identical else 'FAIL'} kill-{k}: "
+              f"killed={killed} bit-identical={identical}")
+    return verdicts
 
 
 def tear_file(path: str | Path, keep_bytes: int) -> int:
@@ -193,7 +274,7 @@ class CrashHarness:
         ]
         proc = subprocess.run(
             argv,
-            env=self._child_env(),
+            env=child_env(),
             capture_output=True,
             text=True,
             timeout=self.child_timeout,
@@ -245,16 +326,6 @@ class CrashHarness:
                     f"{cand_tree.get(name)}"
                 )
         return mismatches
-
-    def _child_env(self) -> dict[str, str]:
-        env = dict(os.environ)
-        src_root = str(Path(__file__).resolve().parents[2])
-        existing = env.get("PYTHONPATH", "")
-        if src_root not in existing.split(os.pathsep):
-            env["PYTHONPATH"] = (
-                src_root + (os.pathsep + existing if existing else "")
-            )
-        return env
 
 
 @dataclass

@@ -21,10 +21,10 @@ Schema history:
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from repro.errors import StaticAnalysisError
+from repro.recovery.durable import atomic_write
 from repro.staticanalysis.model import AnalysisReport, Finding
 
 _VERSION = 2
@@ -48,8 +48,8 @@ def write_baseline(report: AnalysisReport, path: str | Path) -> int:
     """Write every *active* finding in ``report`` as accepted debt.
 
     Returns the number of entries written.  The write is atomic
-    (tmp sibling + fsync + rename): the baseline gates CI, so a torn
-    baseline must not be observable.
+    (:func:`~repro.recovery.durable.atomic_write`): the baseline gates CI,
+    so a torn baseline must not be observable.
     """
     entries = [
         {"detector": f.detector, "path": f.path, "line": f.line}
@@ -63,13 +63,7 @@ def write_baseline(report: AnalysisReport, path: str | Path) -> int:
         indent=2,
         sort_keys=True,
     )
-    target = Path(path)
-    tmp = target.with_name(target.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(payload + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, target)
+    atomic_write(path, payload + "\n")
     return len(entries)
 
 

@@ -15,6 +15,7 @@ lock-order-cycle      concurrency     error     non_deterministic  concurrency
 unlocked-shared-write concurrency     warning   non_deterministic  concurrency
 open-no-with          resources       warning   deterministic      ecosystem_system_call
 replace-no-fsync      resources       error     non_deterministic  ecosystem_system_call
+raw-publish           resources       error     non_deterministic  ecosystem_system_call
 ====================  ==============  ========  =================  =====================
 
 (Hash-randomization effects are filed under the *memory* root cause: the
@@ -43,6 +44,7 @@ from repro.staticanalysis.checks.nondeterminism import (
 )
 from repro.staticanalysis.checks.resources import (
     OpenNoWithDetector,
+    RawPublishDetector,
     ReplaceNoFsyncDetector,
 )
 
@@ -60,6 +62,7 @@ DETECTOR_TYPES: tuple[type[Detector], ...] = (
     UnlockedSharedWriteDetector,
     OpenNoWithDetector,
     ReplaceNoFsyncDetector,
+    RawPublishDetector,
 )
 
 

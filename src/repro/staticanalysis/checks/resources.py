@@ -12,6 +12,10 @@ cache, corpus shards).
   with ``os.replace`` but never calls ``os.fsync``: after a crash the
   rename may survive while the data does not, exactly the torn-write
   class the recovery harness injects.
+* ``raw-publish`` — any ``os.replace``/``os.rename`` outside
+  :mod:`repro.recovery.durable`: its ``atomic_write`` is the one publish
+  that fsyncs before the rename and never leaves a tmp file behind, so a
+  hand-rolled rename is a second crash model to keep correct.
 """
 
 from __future__ import annotations
@@ -189,3 +193,36 @@ def _is_write_evidence(
     if isinstance(call.func, ast.Attribute):
         return call.func.attr in ("write", "writelines", "write_text", "write_bytes")
     return False
+
+
+#: The one module allowed to rename files into place.
+_DURABLE_MODULE = "repro.recovery.durable"
+
+
+class RawPublishDetector(Detector):
+    id = "raw-publish"
+    family = "resources"
+    description = "os.replace/os.rename outside repro.recovery.durable"
+    severity = Severity.ERROR
+    bug_type = BugType.NON_DETERMINISTIC
+    root_cause = RootCause.ECOSYSTEM_SYSTEM_CALL
+
+    def check_module(
+        self, module: ModuleInfo, ctx: AnalysisContext
+    ) -> Iterator[Finding]:
+        if module.name == _DURABLE_MODULE:
+            return
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            verb = module.resolve(node.func)
+            if verb not in ("os.replace", "os.rename"):
+                continue
+            found = self.finding(
+                module, ctx, node,
+                f"{verb} outside {_DURABLE_MODULE}: publish through "
+                "atomic_write, which fsyncs before the rename and always "
+                "removes its tmp file",
+            )
+            if found is not None:
+                yield found

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import signal
 import sys
 
 
@@ -31,23 +29,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", help="write the final state fingerprint here")
     args = parser.parse_args(argv)
 
+    from repro.recovery.harness import kill_at, write_verdict
     from repro.stream.ingest import IngestConfig, run_ingest
 
     config = IngestConfig(**json.loads(args.config))
-    events_seen = 0
-
-    def _kill_at_k(event) -> None:
-        nonlocal events_seen
-        events_seen += 1
-        if args.kill_after > 0 and events_seen >= args.kill_after:
-            # The k-th event is already fsync'd; die with no goodbye.
-            os.kill(os.getpid(), signal.SIGKILL)
-
     report = run_ingest(
         config,
         args.run_dir,
         resume=args.resume,
-        on_event=_kill_at_k,
+        on_event=kill_at(args.kill_after),
     )
     state = report.state
     verdict = {
@@ -63,11 +53,7 @@ def main(argv: list[str] | None = None) -> int:
             1 for r in report.ledger.records if r.event.value == "give_up"
         ),
     }
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(verdict, handle, indent=2, sort_keys=True)
-    else:
-        json.dump(verdict, sys.stdout, indent=2, sort_keys=True)
+    write_verdict(verdict, args.out)
     return 0
 
 

@@ -4,10 +4,11 @@ Every wire record the pipeline cannot apply lands here instead of
 vanishing: the raw bytes under ``<digest>.raw`` (sha256 of the raw text,
 truncated — so re-dead-lettering the same record after a crash replay
 rewrites the same file, never duplicates it) and a human-readable
-``<digest>.reason`` sidecar saying why.  Both publish atomically
-(tmp + fsync + ``os.replace``), the same discipline as every other
-artifact in the repo: a SIGKILL mid-dead-letter leaves either nothing or
-a complete entry, and either way the replayed batch converges.
+``<digest>.reason`` sidecar saying why.  Both publish through the
+durable runtime's :func:`~repro.recovery.durable.atomic_write`, like
+every other artifact in the repo: a SIGKILL mid-dead-letter leaves
+either nothing or a complete entry, and either way the replayed batch
+converges.
 
 :meth:`DeadLetterQueue.entries` is the audit surface (CI uploads it on
 failure); lenient replay lives in :func:`repro.stream.ingest.replay_dlq`.
@@ -16,11 +17,11 @@ failure); lenient replay lives in :func:`repro.stream.ingest.replay_dlq`.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import StreamError
+from repro.recovery.durable import atomic_write
 
 
 def raw_digest(raw: str) -> str:
@@ -47,8 +48,8 @@ class DeadLetterQueue:
         """Dead-letter ``raw``; idempotent per raw text.  Returns the key."""
         digest = raw_digest(raw)
         self.root.mkdir(parents=True, exist_ok=True)
-        _atomic_write(self.root / f"{digest}.raw", raw)
-        _atomic_write(self.root / f"{digest}.reason", reason + "\n")
+        atomic_write(self.root / f"{digest}.raw", raw)
+        atomic_write(self.root / f"{digest}.reason", reason + "\n")
         return digest
 
     def depth(self) -> int:
@@ -85,15 +86,3 @@ class DeadLetterQueue:
             raise StreamError(f"{self.root}: no DLQ entry {digest!r}")
         raw_path.unlink()
         (self.root / f"{digest}.reason").unlink(missing_ok=True)
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)

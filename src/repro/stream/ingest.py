@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,13 +40,16 @@ from repro.errors import (
     TransientSourceError,
 )
 from repro.recovery.checkpoint import open_run_journal
-from repro.recovery.journal import (
-    EVENT_BEGIN,
-    EVENT_COMMIT,
-    EVENT_RUN_END,
-    JournalEvent,
-    replay_journal,
+from repro.recovery.durable import (
+    JOURNAL_NAME,
+    atomic_json,
+    atomic_write,
+    commit_batch,
+    latest_snapshot,
+    open_fold,
+    run_batches,
 )
+from repro.recovery.journal import JournalEvent, replay_journal
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.ledger import ResilienceEvent, ResilienceLedger
 from repro.resilience.policies import RetryPolicy
@@ -352,66 +354,43 @@ class StreamIngest:
     # -- orchestration ----------------------------------------------------------
     def run(self, *, resume: bool = False) -> IngestReport:
         config = self.config
-        self.run_dir.mkdir(parents=True, exist_ok=True)
-        journal, committed = open_run_journal(
-            self.run_dir / "journal.jsonl",
+        with open_fold(
+            self.run_dir,
             f"ingest-{config.seed}",
             resume=resume,
             config_digest=config.digest(),
+            load=load_state,
+            init=lambda: StreamState(config=config.to_dict()),
             on_event=self._on_event,
-        )
-        try:
-            self.state, start = self._load_or_init(committed)
-            batches = 0
-            for k in range(start, config.n_batches):
-                stage = f"batch-{k:04d}"
-                journal.append(EVENT_BEGIN, stage=stage)
-                self._step(k)
-                snapshot = f"state-{k:04d}.json"
-                digest = save_state(self.state, self.run_dir / snapshot)
-                journal.append(
-                    EVENT_COMMIT, stage=stage, key=snapshot, digest=digest
-                )
-                self._prune_snapshots(keep=snapshot)
-                batches += 1
+        ) as (journal, self.state):
+
+            def progress(k: int) -> None:
                 self._progress(
                     f"batch {k + 1}/{config.n_batches}: "
                     f"{self.state.applied} applied, "
                     f"{self.state.deduped} deduped, "
                     f"{self.state.dead_lettered} dead-lettered"
                 )
-            journal.append(EVENT_RUN_END)
-            self._export()
-            return IngestReport(
-                config=config,
-                state=self.state,
-                run_dir=self.run_dir,
-                resumed=resume,
-                batches_executed=batches,
-                ledger=self.ledger,
-                sim_seconds=self.scheduler.clock.now,
+
+            batches = run_batches(
+                journal,
+                self.run_dir,
+                self.state,
+                config.n_batches,
+                self._step,
+                save_state,
+                progress,
             )
-        finally:
-            journal.close()
-
-    def _load_or_init(
-        self, committed: dict[str, JournalEvent]
-    ) -> tuple[StreamState, int]:
-        snapshots = [
-            event
-            for stage, event in committed.items()
-            if stage.startswith(("batch-", "dlq-replay-")) and event.key
-        ]
-        if not snapshots:
-            return StreamState(config=self.config.to_dict()), 0
-        last = max(snapshots, key=lambda event: event.seq)
-        state = load_state(self.run_dir / last.key, expect_digest=last.digest)
-        return state, state.batch_index + 1
-
-    def _prune_snapshots(self, *, keep: str) -> None:
-        for path in sorted(self.run_dir.glob("state-*.json")):
-            if path.name != keep:
-                path.unlink()
+        self._export()
+        return IngestReport(
+            config=config,
+            state=self.state,
+            run_dir=self.run_dir,
+            resumed=resume,
+            batches_executed=batches,
+            ledger=self.ledger,
+            sim_seconds=self.scheduler.clock.now,
+        )
 
     def _export(self) -> None:
         state = self.state
@@ -436,9 +415,9 @@ class StreamIngest:
             "fingerprint": state.fingerprint(),
             "analytics_digest": state.analytics_digest(),
         }
-        _atomic_json(self.run_dir / "summary.json", summary)
-        _atomic_json(self.run_dir / "ledger.json", self.ledger.to_dicts())
-        _atomic_text(
+        atomic_json(self.run_dir / "summary.json", summary)
+        atomic_json(self.run_dir / "ledger.json", self.ledger.to_dicts())
+        atomic_write(
             self.run_dir / "metrics.jsonl",
             state_metrics(state, dlq_depth=self.dlq.depth()).export_jsonl(),
         )
@@ -556,7 +535,7 @@ def replay_dlq(run_dir: str | Path) -> dict[str, int]:
     Irrecoverably corrupt records stay in the DLQ for the audit trail.
     """
     run_dir = Path(run_dir)
-    journal_path = run_dir / "journal.jsonl"
+    journal_path = run_dir / JOURNAL_NAME
     if not journal_path.exists():
         raise StreamError(f"{run_dir}: no ingest journal to replay against")
     dlq = DeadLetterQueue(run_dir / "dlq")
@@ -564,30 +543,19 @@ def replay_dlq(run_dir: str | Path) -> dict[str, int]:
     # Locate the latest committed snapshot; its config is the run's config,
     # and resume-mode journal reopening cross-checks it against the digest
     # the journal recorded (drift is refused, exactly as for --resume).
-    snapshots = {
-        stage: event
-        for stage, event in replay_journal(journal_path).committed().items()
-        if stage.startswith(("batch-", "dlq-replay-")) and event.key
-    }
-    if not snapshots:
+    committed = replay_journal(journal_path).committed()
+    last = latest_snapshot(committed)
+    if last is None:
         raise StreamError(
             f"{run_dir}: no committed snapshot to replay the DLQ against"
         )
-    last = max(snapshots.values(), key=lambda event: event.seq)
     state = load_state(run_dir / last.key, expect_digest=last.digest)
     config = IngestConfig(**state.config)
-    journal, _committed = open_run_journal(
-        journal_path,
-        f"ingest-{config.seed}",
-        resume=True,
-        config_digest=config.digest(),
-    )
-    try:
-        replays = sum(1 for s in snapshots if s.startswith("dlq-replay-"))
-        stage = f"dlq-replay-{replays:04d}"
-        journal.append(EVENT_BEGIN, stage=stage)
-        recovered = applied = deduped = 0
-        recovered_digests: list[str] = []
+    replays = sum(1 for stage in committed if stage.startswith("dlq-replay-"))
+    counts = {"recovered": 0, "applied": 0, "deduped": 0}
+    recovered_digests: list[str] = []
+
+    def replay() -> dict[str, int]:
         for entry in dlq.entries():
             try:
                 event = parse_wire(entry.raw, lenient=True)
@@ -596,65 +564,40 @@ def replay_dlq(run_dir: str | Path) -> dict[str, int]:
             digest = event.digest_int()
             if digest in state.seen:
                 state.deduped += 1
-                deduped += 1
+                counts["deduped"] += 1
             else:
                 state.apply(event, digest)
-                applied += 1
+                counts["applied"] += 1
             # Either way the delivery is now accounted as consumed instead
             # of dead-lettered: move it across the ledger columns.
             state.dead_lettered -= 1
-            recovered += 1
+            counts["recovered"] += 1
             recovered_digests.append(entry.digest)
         _check_accounting(state)
-        snapshot = f"state-dlq-{replays:04d}.json"
-        digest = save_state(state, run_dir / snapshot)
-        journal.append(
-            EVENT_COMMIT,
-            stage=stage,
-            key=snapshot,
-            digest=digest,
-            meta={"recovered": recovered, "applied": applied, "deduped": deduped},
+        return counts
+
+    journal, _ = open_run_journal(
+        journal_path,
+        f"ingest-{config.seed}",
+        resume=True,
+        config_digest=config.digest(),
+    )
+    with journal:
+        commit_batch(
+            journal,
+            run_dir,
+            f"dlq-replay-{replays:04d}",
+            f"state-dlq-{replays:04d}.json",
+            state,
+            replay,
+            save_state,
         )
-        # Only after the commit is durable do the DLQ entries disappear —
-        # a crash mid-replay leaves them in place and the rerun converges.
-        for entry_digest in recovered_digests:
-            dlq.remove(entry_digest)
-        for path in sorted(run_dir.glob("state-*.json")):
-            if path.name != snapshot:
-                path.unlink()
-        _atomic_text(
-            run_dir / "metrics.jsonl",
-            state_metrics(state, dlq_depth=dlq.depth()).export_jsonl(),
-        )
-        return {
-            "recovered": recovered,
-            "applied": applied,
-            "deduped": deduped,
-            "remaining": dlq.depth(),
-        }
-    finally:
-        journal.close()
-
-
-def _atomic_json(path: Path, payload: Any) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=1)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _atomic_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    # Only after the commit is durable do the DLQ entries disappear — a
+    # crash mid-replay leaves them in place and the rerun converges.
+    for entry_digest in recovered_digests:
+        dlq.remove(entry_digest)
+    atomic_write(
+        run_dir / "metrics.jsonl",
+        state_metrics(state, dlq_depth=dlq.depth()).export_jsonl(),
+    )
+    return {**counts, "remaining": dlq.depth()}

@@ -20,47 +20,16 @@ export land under ``--artifacts`` for CI upload.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import shutil
-import signal
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+from repro.recovery.harness import kill_resume_verdicts, write_verdict
 from repro.resilience.ledger import ResilienceEvent
 from repro.stream.flaky import FlakySource
 from repro.stream.ingest import IngestConfig, run_ingest
 from repro.stream.source import synthetic_event
-
-
-def _child_env() -> dict[str, str]:
-    env = dict(os.environ)
-    src_root = str(Path(__file__).resolve().parents[2])
-    existing = env.get("PYTHONPATH", "")
-    if src_root not in existing.split(os.pathsep):
-        env["PYTHONPATH"] = src_root + (os.pathsep + existing if existing else "")
-    return env
-
-
-def _spawn(config: IngestConfig, run_dir: Path, *, kill_after: int = 0,
-           resume: bool = False, out: Path | None = None,
-           timeout: float = 600.0) -> subprocess.CompletedProcess:
-    argv = [
-        sys.executable, "-m", "repro.stream._child",
-        "--run-dir", str(run_dir),
-        "--config", json.dumps(config.to_dict()),
-    ]
-    if kill_after:
-        argv += ["--kill-after", str(kill_after)]
-    if resume:
-        argv.append("--resume")
-    if out is not None:
-        argv += ["--out", str(out)]
-    return subprocess.run(
-        argv, env=_child_env(), capture_output=True, text=True, timeout=timeout
-    )
 
 
 def _emitted(config: IngestConfig) -> int:
@@ -148,25 +117,14 @@ def main(argv: list[str] | None = None) -> int:
         "give_ups_priced": priced,
         "emitted_conserved": conserved,
     }]
-    for k in args.kill_events:
-        run_dir = workdir / f"kill-{k}"
-        killed = _spawn(config, run_dir, kill_after=k)
-        was_killed = killed.returncode == -signal.SIGKILL
-        resumed = run_ingest(config, run_dir, resume=True)
-        fingerprint = resumed.state.fingerprint()
-        ok = was_killed and fingerprint == ref_fingerprint
-        failed += 0 if ok else 1
-        verdicts.append({
-            "label": f"kill-{k}",
-            "killed": was_killed,
-            "fingerprint": fingerprint,
-            "bit_identical": fingerprint == ref_fingerprint,
-        })
-        print(f"  {'PASS' if ok else 'FAIL'} kill-{k}: killed={was_killed} "
-              f"bit-identical={fingerprint == ref_fingerprint}")
+    verdicts += kill_resume_verdicts(
+        "repro.stream._child", config.to_dict(), workdir, args.kill_events,
+        lambda run_dir: run_ingest(config, run_dir, resume=True).state.fingerprint(),
+        ref_fingerprint,
+    )
+    failed += sum(not (v["killed"] and v["bit_identical"]) for v in verdicts[1:])
 
-    with open(artifacts / "ingest_smoke.json", "w") as handle:
-        json.dump(verdicts, handle, indent=2, sort_keys=True)
+    write_verdict(verdicts, artifacts / "ingest_smoke.json")
     for name in ("metrics.jsonl", "summary.json", "ledger.json"):
         source = workdir / "reference" / name
         if source.exists():

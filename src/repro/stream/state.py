@@ -21,20 +21,22 @@ order-dependent pieces (operational counters, the online learner) and is
 the kill/resume bit-identity yardstick: replay order is deterministic, so
 a resumed run must reproduce it exactly.
 
-Snapshots follow the PR-7 fuzzing discipline: canonical JSON, atomic
-tmp + fsync + ``os.replace`` writes, journaled digests verified on load.
+Snapshots go through the durable runtime (:mod:`repro.recovery.durable`),
+shared with the fuzzing plane: each is the state's compact canonical JSON,
+published atomically, with a journaled sha256 that is exactly
+:meth:`StreamState.fingerprint`, verified on load.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 from repro.errors import StreamError
+from repro.recovery.durable import load_snapshot, save_snapshot
 from repro.stream.events import TrackerEvent
 from repro.stream.online import OnlineLinearSVM, RollingDistribution
 
@@ -198,38 +200,12 @@ class StreamState:
 
 # -- snapshot IO ----------------------------------------------------------------
 
-def save_state(state: StreamState, path: str | Path) -> str:
-    """Atomically write a snapshot; returns its sha256 digest."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(state.to_dict(), sort_keys=True, indent=1)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+#: Atomically write a snapshot; returns its digest, ``state.fingerprint()``.
+save_state = save_snapshot
 
 
 def load_state(path: str | Path, *, expect_digest: str | None = None) -> StreamState:
     """Load a snapshot, verifying the digest the journal promised."""
-    path = Path(path)
-    if not path.exists():
-        raise StreamError(f"{path}: stream state snapshot does not exist")
-    payload = path.read_text(encoding="utf-8")
-    if expect_digest is not None:
-        actual = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        if actual != expect_digest:
-            raise StreamError(
-                f"{path}: snapshot digest mismatch (journal promised "
-                f"{expect_digest[:12]}..., found {actual[:12]}...)"
-            )
-    try:
-        data = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise StreamError(f"{path}: snapshot is not valid JSON: {exc}") from exc
-    return StreamState.from_dict(data)
+    return load_snapshot(
+        path, StreamState.from_dict, StreamError, "stream", expect_digest=expect_digest
+    )
