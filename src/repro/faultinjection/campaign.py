@@ -11,18 +11,16 @@ asserted, per the paper's §VII complaint.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.faultinjection.faults import FaultSpec, default_catalog
-from repro.parallel import ArtifactCache, WorkPool, canonicalize
+from repro.parallel import ArtifactCache, WorkPool
 from repro.recovery.checkpoint import (
     CheckpointManager,
-    RecoveryError,
-    open_run_journal,
+    canonical_digest,
+    open_stage_journal,
 )
 from repro.recovery.journal import EVENT_RUN_END, JournalEvent
 from repro.resilience.ledger import ResilienceEvent, ResilienceLedger
@@ -194,16 +192,6 @@ class FaultCampaign:
         self.jobs = jobs
 
     # -- journaling ------------------------------------------------------------
-    @staticmethod
-    def _resolve_run_id(run_id: str | None, resume: str | None) -> str | None:
-        if resume is not None:
-            if run_id is not None and run_id != resume:
-                raise RecoveryError(
-                    f"conflicting run ids: run_id={run_id!r}, resume={resume!r}"
-                )
-            return resume
-        return run_id
-
     def config_digest(
         self, *, arm: str, extra: Mapping[str, Any] | None = None
     ) -> str:
@@ -212,33 +200,26 @@ class FaultCampaign:
         ``jobs`` is deliberately absent — worker count is a performance
         knob, so a campaign may legally resume at a different width.
         """
-        config = canonicalize({
+        return canonical_digest({
             "arm": arm,
             "fault_ids": [spec.fault_id for spec in self.catalog],
             "base_seed": self.base_seed,
             "seeds_per_fault": self.seeds_per_fault,
             **(extra or {}),
         })
-        payload = json.dumps(config, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def _journaled_spec_values(
         self,
         pool: WorkPool,
+        manager: CheckpointManager,
         task_fn: Callable[[Any], Any],
         task_for: Callable[[FaultSpec], Any],
         params_for: Callable[[FaultSpec], Mapping[str, Any]],
         *,
         namespace: str,
-        config_digest: str,
-        cache: ArtifactCache | None,
-        run_id: str,
-        resume: bool,
-        journal_root: str | Path | None,
-        on_journal_event: Callable[[JournalEvent], None] | None,
         ledger: ResilienceLedger,
     ) -> tuple[list[Any], list[str]]:
-        """Run every catalog spec under begin/commit journaling.
+        """Run every catalog spec under ``manager``'s begin/commit journaling.
 
         Specs execute in waves of ``jobs`` so a kill between waves loses at
         most one wave of work; within a wave every spec is journaled
@@ -246,21 +227,7 @@ class FaultCampaign:
         publishes.  Returns catalog-ordered values plus the fault ids
         satisfied straight from journal-committed checkpoints.
         """
-        if cache is None:
-            raise RecoveryError(
-                "journaled campaigns require an artifact cache "
-                "(checkpoints are what resume recovers from)"
-            )
-        root = (
-            Path(journal_root) if journal_root is not None
-            else cache.root / ".journal"
-        )
-        journal, committed = open_run_journal(
-            root / f"{run_id}.jsonl", run_id,
-            resume=resume, config_digest=config_digest,
-            on_event=on_journal_event,
-        )
-        manager = CheckpointManager(cache, journal, committed=committed)
+        journal = manager.journal
         values: dict[str, Any] = {}
         skipped: list[str] = []
         try:
@@ -311,10 +278,13 @@ class FaultCampaign:
         commits through a journal and ``resume=`` continues a killed
         campaign, re-executing only uncommitted specs.
         """
-        run_id = self._resolve_run_id(run_id, resume)
         pool = WorkPool(self.jobs)
+        manager = open_stage_journal(
+            cache, run_id, resume, self.config_digest(arm="bare"),
+            journal_root=journal_root, on_event=on_journal_event,
+        )
         result = CampaignResult()
-        if run_id is None:
+        if manager is None:
             result.results = pool.map(
                 _run_spec_task,
                 [
@@ -335,16 +305,11 @@ class FaultCampaign:
 
         result.results, result.skipped = self._journaled_spec_values(
             pool,
+            manager,
             _run_spec_task,
             lambda spec: (spec, self.base_seed, self.seeds_per_fault),
             _params,
             namespace="faultcampaign",
-            config_digest=self.config_digest(arm="bare"),
-            cache=cache,
-            run_id=run_id,
-            resume=resume is not None,
-            journal_root=journal_root,
-            on_journal_event=on_journal_event,
             ledger=result.ledger,
         )
         return result
@@ -370,15 +335,19 @@ class FaultCampaign:
         residual symptoms.
         """
         config = resilience if resilience is not None else ResilienceConfig.default()
-        run_id = self._resolve_run_id(run_id, resume)
-        ledger = ResilienceLedger()
-        report = AbReport(config=config, ledger=ledger)
         # The process backend is required for jobs > 1: resilience_context
         # installs module-global state, so concurrent threads would cross
         # arms.  Each task runs with a private ledger; merging the per-spec
         # ledgers in catalog order reproduces the serial record sequence.
         pool = WorkPool(self.jobs, backend="serial" if self.jobs == 1 else "process")
-        if run_id is None:
+        manager = open_stage_journal(
+            cache, run_id, resume,
+            self.config_digest(arm="ab", extra={"resilience": repr(config)}),
+            journal_root=journal_root, on_event=on_journal_event,
+        )
+        ledger = ResilienceLedger()
+        report = AbReport(config=config, ledger=ledger)
+        if manager is None:
             outcomes = pool.map(
                 _run_ab_spec_task,
                 [
@@ -399,18 +368,11 @@ class FaultCampaign:
 
             outcomes, report.skipped = self._journaled_spec_values(
                 pool,
+                manager,
                 _run_ab_spec_task,
                 lambda spec: (spec, self.base_seed, self.seeds_per_fault, config),
                 _params,
                 namespace="faultcampaign-ab",
-                config_digest=self.config_digest(
-                    arm="ab", extra={"resilience": repr(config)}
-                ),
-                cache=cache,
-                run_id=run_id,
-                resume=resume is not None,
-                journal_root=journal_root,
-                on_journal_event=on_journal_event,
                 ledger=ledger,
             )
         for result, spec_ledger in outcomes:

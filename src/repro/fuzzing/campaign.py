@@ -30,10 +30,8 @@ run-through-batch-``k`` are the same computation.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -97,29 +95,13 @@ class FuzzConfig:
             raise FuzzError("horizon must be positive")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "controllers": self.controllers,
-            "switches": self.switches,
-            "flows": self.flows,
-            "topology": self.topology,
-            "budget": self.budget,
-            "batch": self.batch,
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "events": self.events,
-            "hardened": self.hardened,
-            "guided": self.guided,
-            "minimize": self.minimize,
-            "oversample": self.oversample,
-            "tree_depth": self.tree_depth,
-            "echo_interval": self.echo_interval,
-            "check_interval": self.check_interval,
-        }
+        return asdict(self)
 
     def digest(self) -> str:
         """Resume identity: same digest == same campaign."""
-        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        from repro.recovery.checkpoint import canonical_digest
+
+        return canonical_digest(self.to_dict())
 
     @property
     def n_batches(self) -> int:
@@ -532,3 +514,13 @@ def run_campaign(
         config, run_dir, jobs=jobs, on_event=on_event, progress=progress
     )
     return campaign.run(resume=resume)
+
+
+def kill_target(
+    config: dict[str, Any],
+    run_dir: str | Path,
+    *,
+    on_event: Callable[[JournalEvent], None],
+) -> FuzzReport:
+    """``repro.recovery._child`` target over a :class:`FuzzConfig` dict."""
+    return run_campaign(FuzzConfig(**config), run_dir, on_event=on_event)

@@ -2,7 +2,7 @@
 
 The CI entry point for fuzzer crash-safety.  Runs one uninterrupted
 reference campaign, then SIGKILLs fresh campaigns at several journal
-offsets and resumes each with ``--resume``; every resumed campaign must
+offsets and resumes each in-process; every resumed campaign must
 reach a final :class:`~repro.fuzzing.corpus.FuzzState` fingerprint
 **bit-for-bit identical** to the reference.  Exit status 0 only when every
 scenario passes; verdicts, coverage maps, and minimized reproducers land
@@ -67,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
         "summary": reference.summary(),
     }]
     verdicts += kill_resume_verdicts(
-        "repro.fuzzing._child", config.to_dict(), workdir, args.kill_events,
+        "repro.fuzzing.campaign:kill_target", config.to_dict(), workdir, args.kill_events,
         lambda run_dir: run_campaign(config, run_dir, resume=True).state.fingerprint(),
         ref_fingerprint,
     )

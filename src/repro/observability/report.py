@@ -29,11 +29,9 @@ from repro.observability.spans import (
     Span,
     spans_from_journal,
 )
+from repro.recovery.checkpoint import JOURNAL_DIRNAME
 from repro.recovery.journal import JournalError
 from repro.reporting.tables import ascii_table
-
-#: Directory name the recovery layer journals under.
-JOURNAL_DIRNAME = ".journal"
 
 
 @dataclass

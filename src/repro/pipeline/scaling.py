@@ -26,22 +26,16 @@ an uninterrupted run (enforced by ``tests/test_crash_resume.py``).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
-from repro.parallel import ArtifactCache, WorkPool, canonicalize
+from repro.parallel import ArtifactCache, WorkPool
 from repro.pipeline.autoclassifier import ClassifierKind
 from repro.pipeline.validation import ValidationReport, validate_pipeline
-from repro.recovery.checkpoint import (
-    CheckpointManager,
-    RecoveryError,
-    open_run_journal,
-)
-from repro.recovery.journal import EVENT_RUN_END, JournalEvent, RunJournal
+from repro.recovery.checkpoint import canonical_digest, open_stage_journal
+from repro.recovery.journal import EVENT_RUN_END, JournalEvent
 
 #: Hyperparameters of the pipeline's TF-IDF stage, part of its cache key.
 _TFIDF_PARAMS = {"min_count": 2, "sublinear_tf": False, "normalize": True}
@@ -168,7 +162,7 @@ def pipeline_config_digest(
     knobs under the equivalence contract, so a run may legally resume with
     a different worker count.
     """
-    config = canonicalize({
+    return canonical_digest({
         "seed": seed,
         "dimensions": list(dimensions),
         "classifier": kind,
@@ -178,29 +172,6 @@ def pipeline_config_digest(
         "tfidf": _TFIDF_PARAMS,
         "svm": _SVM_PARAMS,
     })
-    payload = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _open_pipeline_journal(
-    cache: ArtifactCache | None,
-    run_id: str,
-    resume: bool,
-    journal_root: str | Path | None,
-    config_digest: str,
-    on_journal_event: Callable[[JournalEvent], None] | None,
-) -> tuple[RunJournal, dict[str, JournalEvent]]:
-    """Open (or replay-then-reopen) the journal for one pipeline run."""
-    if cache is None:
-        raise RecoveryError(
-            "journaled pipeline runs require an artifact cache "
-            "(checkpoints are what resume recovers from)"
-        )
-    root = Path(journal_root) if journal_root is not None else cache.root / ".journal"
-    return open_run_journal(
-        root / f"{run_id}.jsonl", run_id,
-        resume=resume, config_digest=config_digest, on_event=on_journal_event,
-    )
 
 
 def run_pipeline(
@@ -233,29 +204,20 @@ def run_pipeline(
     from repro.ml.nmf import nmf_multi_restart
     from repro.textmining import TfidfVectorizer, Tokenizer
 
-    if resume is not None:
-        if run_id is not None and run_id != resume:
-            raise RecoveryError(
-                f"conflicting run ids: run_id={run_id!r}, resume={resume!r}"
-            )
-        run_id = resume
-
-    journal: RunJournal | None = None
-    manager: CheckpointManager | None = None
-    if run_id is not None:
-        config_digest = pipeline_config_digest(
+    manager = open_stage_journal(
+        cache, run_id, resume,
+        pipeline_config_digest(
             seed=seed, dimensions=dimensions, kind=kind, n_topics=n_topics,
             nmf_restarts=nmf_restarts, split_seed=split_seed,
-        )
-        journal, committed = _open_pipeline_journal(
-            cache, run_id, resume is not None, journal_root,
-            config_digest, on_journal_event,
-        )
-        manager = CheckpointManager(cache, journal, committed=committed)
+        ),
+        journal_root=journal_root, on_event=on_journal_event,
+    )
+    journal = manager.journal if manager is not None else None
 
     pool = WorkPool(jobs)
     result = PipelineResult(
-        seed=seed, jobs=jobs, run_id=run_id, resumed=resume is not None
+        seed=seed, jobs=jobs, resumed=resume is not None,
+        run_id=journal.run_id if journal is not None else None,
     )
 
     def _stage(timer, name, namespace, params, compute):
@@ -341,3 +303,16 @@ def run_pipeline(
     if metrics is not None:
         result_metrics(result, metrics)
     return result
+
+
+def kill_target(
+    config: Mapping[str, Any],
+    run_dir: str | Path,
+    *,
+    on_event: Callable[[JournalEvent], None],
+) -> PipelineResult:
+    """``repro.recovery._child`` target: ``config`` is ``run_pipeline``'s
+    keyword arguments with its ``run_id``; ``run_dir`` is the cache root."""
+    return run_pipeline(
+        **config, cache=ArtifactCache(run_dir), on_journal_event=on_event
+    )

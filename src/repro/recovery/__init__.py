@@ -10,10 +10,13 @@ long-running work:
 * :class:`CheckpointManager` — journaled stages over the
   :class:`~repro.parallel.ArtifactCache`'s atomic, digest-verified
   checkpoints, with corrupt entries quarantined instead of trusted;
+  ``checkpoint.open_stage_journal`` opens one for a cache-rooted run;
 * :class:`CrashHarness` — deterministic kill injection: run the pipeline in
   a subprocess, SIGKILL it at the k-th journal event (or tear a checkpoint
   file at a byte offset), resume, and prove the result bit-for-bit equal to
-  an uninterrupted run.
+  an uninterrupted run.  Every plane's kills go through the one child,
+  ``python -m repro.recovery._child --target MOD:FN``, spawned by
+  ``harness.spawn_killed``.
 """
 
 from repro.recovery.checkpoint import CheckpointManager, RecoveryError, StageOutcome

@@ -20,12 +20,14 @@ the recompute path — corruption costs a recompute, never a wrong result.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from repro.errors import ReproError
-from repro.parallel.cache import ArtifactCache, cache_key
+from repro.parallel.cache import ArtifactCache, cache_key, canonicalize
 from repro.recovery.journal import (
     EVENT_BEGIN,
     EVENT_COMMIT,
@@ -38,8 +40,20 @@ from repro.recovery.journal import (
 )
 
 
+#: Directory under an artifact cache root that holds its stage journals.
+JOURNAL_DIRNAME = ".journal"
+
+
 class RecoveryError(ReproError):
     """Invalid recovery configuration, or a resume that cannot be honored."""
+
+
+def canonical_digest(config: Mapping[str, Any]) -> str:
+    """sha256 of ``config`` as canonical JSON: a run's resume identity."""
+    payload = json.dumps(
+        canonicalize(config), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def open_run_journal(
@@ -199,3 +213,43 @@ class CheckpointManager:
 
     def computed_stages(self) -> list[str]:
         return [o.stage for o in self.outcomes if not o.hit]
+
+
+def open_stage_journal(
+    cache: ArtifactCache | None,
+    run_id: str | None,
+    resume: str | None,
+    config_digest: str,
+    *,
+    journal_root: str | Path | None = None,
+    on_event: Callable[[JournalEvent], None] | None = None,
+) -> CheckpointManager | None:
+    """The :class:`CheckpointManager` of a cache-rooted journaled run.
+
+    ``resume`` names the run to continue and wins over ``run_id``, which
+    starts a fresh one; naming two different runs is an error.  Returns
+    ``None`` when neither is given (an unjournaled run).  The journal is
+    ``<run id>.jsonl`` under ``journal_root``, by default the cache's
+    :data:`JOURNAL_DIRNAME`; the manager's journal must be closed by the
+    caller.
+    """
+    if resume is not None:
+        if run_id is not None and run_id != resume:
+            raise RecoveryError(
+                f"conflicting run ids: run_id={run_id!r}, resume={resume!r}"
+            )
+        run_id = resume
+    if run_id is None:
+        return None
+    if cache is None:
+        raise RecoveryError(
+            "journaled runs require an artifact cache "
+            "(checkpoints are what resume recovers from)"
+        )
+    root = Path(journal_root) if journal_root is not None else cache.root / JOURNAL_DIRNAME
+    journal, committed = open_run_journal(
+        root / f"{run_id}.jsonl", run_id,
+        resume=resume is not None, config_digest=config_digest,
+        on_event=on_event,
+    )
+    return CheckpointManager(cache, journal, committed=committed)

@@ -11,12 +11,11 @@ the result against an uninterrupted reference run **bit for bit**: same
 accuracies, topics, confusion matrices, classifier-weight digests, and the
 same sha256 for every checkpoint payload in the cache tree.
 
-The child side of that protocol is shared by every plane's kill-injection
-child (``repro.recovery._child``, ``repro.fuzzing._child``,
-``repro.stream._child``): :func:`kill_at` builds the ``on_event`` hook,
-:func:`write_verdict` reports the outcome, :func:`child_env` puts the
-parent's source tree on the child's path, and :func:`kill_resume_verdicts`
-drives the fuzz and ingest smoke campaigns.
+Every plane kills the same way: :func:`spawn_killed` runs one plane's
+``kill_target`` in the single ``python -m repro.recovery._child``, which
+SIGKILLs itself at the requested journal event.  :func:`kill_resume_verdicts`
+drives the fuzz and ingest smoke campaigns over it, and
+:func:`write_verdict` publishes their verdict JSON.
 
 A second fault mode simulates *torn writes*: :func:`tear_file` truncates a
 checkpoint, cache payload, or journal at an arbitrary byte offset, the way
@@ -37,86 +36,85 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.parallel.cache import QUARANTINE_DIRNAME, ArtifactCache
-from repro.recovery.journal import JournalEvent, JournalReplay, replay_journal
+from repro.recovery.checkpoint import JOURNAL_DIRNAME
+from repro.recovery.durable import atomic_write
+from repro.recovery.journal import JournalReplay, replay_journal
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.scaling import PipelineResult
 
-#: Journal directory name used under a harness cache root.
-JOURNAL_DIRNAME = ".journal"
+
+def write_verdict(payload: Any, out: str | Path) -> None:
+    """Atomically publish ``payload`` as sorted, ``indent=2`` JSON at ``out``."""
+    Path(out).parent.mkdir(parents=True, exist_ok=True)
+    atomic_write(out, json.dumps(payload, indent=2, sort_keys=True))
 
 
-def kill_at(k: int) -> Callable[[JournalEvent], None]:
-    """An ``on_event`` hook that SIGKILLs this process at the k-th event.
+def spawn_killed(
+    target: str,
+    config: Mapping[str, Any],
+    run_dir: str | Path,
+    kill_after: int,
+    *,
+    timeout: float = 600.0,
+) -> subprocess.CompletedProcess[str]:
+    """Run ``target`` (``MOD:FN``) in ``repro.recovery._child``; the child
+    SIGKILLs itself once journal event ``kill_after`` is durable.
 
-    The hook runs only after the event is fsync'd, so exactly ``k`` events
-    survive the kill.  ``k <= 0`` never kills.
+    The child gets this package's source root on ``PYTHONPATH``.
     """
-    seen = 0
-
-    def hook(event: JournalEvent) -> None:
-        nonlocal seen
-        seen += 1
-        if k > 0 and seen >= k:
-            # The k-th event is already durable; die with no goodbye.
-            os.kill(os.getpid(), signal.SIGKILL)
-
-    return hook
-
-
-def write_verdict(payload: Any, out: str | Path | None) -> None:
-    """Write a child's verdict JSON to ``out``, or to stdout without one."""
-    if out:
-        with open(out, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-
-
-def child_env() -> dict[str, str]:
-    """This environment with the package's source root on ``PYTHONPATH``."""
     env = dict(os.environ)
     src_root = str(Path(__file__).resolve().parents[2])
     existing = env.get("PYTHONPATH", "")
     if src_root not in existing.split(os.pathsep):
         env["PYTHONPATH"] = src_root + (os.pathsep + existing if existing else "")
-    return env
+    return subprocess.run(
+        [sys.executable, "-m", "repro.recovery._child", "--target", target,
+         "--run-dir", str(run_dir), "--config", json.dumps(dict(config)),
+         "--kill-after", str(kill_after)],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
 
 
 def kill_resume_verdicts(
-    module: str,
+    target: str,
     config: Mapping[str, Any],
     workdir: Path,
     kill_events: Sequence[int],
     resume: Callable[[Path], str],
     reference: str,
 ) -> list[dict[str, Any]]:
-    """SIGKILL a ``python -m <module>`` child at each journal offset, resume
-    it in-process, and compare the resumed fingerprint to ``reference``.
+    """SIGKILL ``target`` at each journal offset, resume it in-process, and
+    compare the resumed fingerprint to ``reference``.
 
-    ``module`` takes ``--run-dir``, ``--config`` (JSON) and
-    ``--kill-after``; ``resume(run_dir)`` returns the resumed fingerprint.
-    Each verdict is printed as it lands.
+    ``resume(run_dir)`` returns the resumed fingerprint.  A child that
+    exits any other way than by SIGKILL fails its verdict with its return
+    code and stderr tail, and is not resumed.  Each verdict is printed as
+    it lands.
     """
     verdicts: list[dict[str, Any]] = []
     for k in kill_events:
         run_dir = workdir / f"kill-{k}"
-        child = subprocess.run(
-            [sys.executable, "-m", module, "--run-dir", str(run_dir),
-             "--config", json.dumps(dict(config)), "--kill-after", str(k)],
-            env=child_env(), capture_output=True, text=True, timeout=600.0,
-        )
-        killed = child.returncode == -signal.SIGKILL
-        fingerprint = resume(run_dir)
-        identical = fingerprint == reference
-        verdicts.append({
+        child = spawn_killed(target, config, run_dir, k)
+        verdict: dict[str, Any] = {
             "label": f"kill-{k}",
-            "killed": killed,
-            "fingerprint": fingerprint,
-            "bit_identical": identical,
-        })
-        print(f"  {'PASS' if killed and identical else 'FAIL'} kill-{k}: "
-              f"killed={killed} bit-identical={identical}")
+            "killed": child.returncode == -signal.SIGKILL,
+            "fingerprint": None,
+            "bit_identical": False,
+        }
+        if verdict["killed"]:
+            verdict["fingerprint"] = resume(run_dir)
+            verdict["bit_identical"] = verdict["fingerprint"] == reference
+            detail = f"bit-identical={verdict['bit_identical']}"
+        else:
+            verdict["returncode"] = child.returncode
+            verdict["stderr"] = child.stderr[-500:]
+            detail = (f"child exited {child.returncode} instead of dying on "
+                      f"SIGKILL: {verdict['stderr']}")
+        verdicts.append(verdict)
+        passed = verdict["killed"] and verdict["bit_identical"]
+        print(f"  {'PASS' if passed else 'FAIL'} kill-{k}: "
+              f"killed={verdict['killed']} {detail}")
     return verdicts
 
 
@@ -181,7 +179,6 @@ class KilledRun:
     returncode: int
     cache_root: Path
     journal_path: Path
-    stdout: str = ""
     stderr: str = ""
 
     @property
@@ -261,23 +258,10 @@ class CrashHarness:
         run_id = run_id or f"kill-{kill_after}"
         cache_root = self.workdir / run_id / "cache"
         cache_root.mkdir(parents=True, exist_ok=True)
-        argv = [
-            sys.executable, "-m", "repro.recovery._child",
-            "--cache-root", str(cache_root),
-            "--run-id", run_id,
-            "--kill-after", str(kill_after),
-            "--seed", str(self.seed),
-            "--jobs", str(self.jobs),
-            "--topics", str(self.n_topics),
-            "--restarts", str(self.nmf_restarts),
-            "--dimensions", *self.dimensions,
-        ]
-        proc = subprocess.run(
-            argv,
-            env=child_env(),
-            capture_output=True,
-            text=True,
-            timeout=self.child_timeout,
+        proc = spawn_killed(
+            "repro.pipeline.scaling:kill_target",
+            {**self.pipeline_kwargs(), "run_id": run_id},
+            cache_root, kill_after, timeout=self.child_timeout,
         )
         return KilledRun(
             run_id=run_id,
@@ -285,7 +269,6 @@ class CrashHarness:
             returncode=proc.returncode,
             cache_root=cache_root,
             journal_path=self.journal_path(cache_root, run_id),
-            stdout=proc.stdout,
             stderr=proc.stderr,
         )
 
@@ -425,8 +408,4 @@ def _verify_resume(
 
 
 def save_campaign_json(path: str | Path, reports: list[CampaignReport]) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(
-        json.dumps([report.to_dict() for report in reports], indent=2,
-                   sort_keys=True)
-    )
+    write_verdict([report.to_dict() for report in reports], path)

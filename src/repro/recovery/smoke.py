@@ -17,8 +17,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from repro.recovery.checkpoint import JOURNAL_DIRNAME
 from repro.recovery.harness import (
-    JOURNAL_DIRNAME,
     CrashHarness,
     run_kill_campaign,
     save_campaign_json,

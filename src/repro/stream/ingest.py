@@ -26,10 +26,8 @@ never logged-and-forgotten):
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -39,7 +37,7 @@ from repro.errors import (
     StreamError,
     TransientSourceError,
 )
-from repro.recovery.checkpoint import open_run_journal
+from repro.recovery.checkpoint import canonical_digest, open_run_journal
 from repro.recovery.durable import (
     JOURNAL_NAME,
     atomic_json,
@@ -119,35 +117,11 @@ class IngestConfig:
         )
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "events": self.events,
-            "batch": self.batch,
-            "block": self.block,
-            "pool": self.pool,
-            "outage_rate": self.outage_rate,
-            "outage_depth": self.outage_depth,
-            "rate_limit_rate": self.rate_limit_rate,
-            "corrupt_rate": self.corrupt_rate,
-            "duplicate_rate": self.duplicate_rate,
-            "reorder_rate": self.reorder_rate,
-            "queue_capacity": self.queue_capacity,
-            "retry_attempts": self.retry_attempts,
-            "retry_base_delay": self.retry_base_delay,
-            "breaker_threshold": self.breaker_threshold,
-            "breaker_window": self.breaker_window,
-            "breaker_min_calls": self.breaker_min_calls,
-            "breaker_cooldown": self.breaker_cooldown,
-            "learn": self.learn,
-            "hash_bits": self.hash_bits,
-            "regularization": self.regularization,
-            "window_days": self.window_days,
-        }
+        return asdict(self)
 
     def digest(self) -> str:
         """Resume identity: same digest == same run."""
-        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return canonical_digest(self.to_dict())
 
     @property
     def n_blocks(self) -> int:
@@ -601,3 +575,13 @@ def replay_dlq(run_dir: str | Path) -> dict[str, int]:
         state_metrics(state, dlq_depth=dlq.depth()).export_jsonl(),
     )
     return {**counts, "remaining": dlq.depth()}
+
+
+def kill_target(
+    config: dict[str, Any],
+    run_dir: str | Path,
+    *,
+    on_event: Callable[[JournalEvent], None],
+) -> IngestReport:
+    """``repro.recovery._child`` target over a :class:`IngestConfig` dict."""
+    return run_ingest(IngestConfig(**config), run_dir, on_event=on_event)

@@ -10,7 +10,7 @@ contract on it:
   ``emitted == consumed + lost_upstream``;
 
 then SIGKILLs fresh ingestions at several journal offsets and resumes
-each with ``--resume``; every resumed run must reach a final
+each in-process; every resumed run must reach a final
 :class:`~repro.stream.state.StreamState` fingerprint **bit-for-bit
 identical** to the reference.  Exit status 0 only when every scenario
 passes; verdicts, the DLQ (with ``.reason`` sidecars), and the metrics
@@ -118,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
         "emitted_conserved": conserved,
     }]
     verdicts += kill_resume_verdicts(
-        "repro.stream._child", config.to_dict(), workdir, args.kill_events,
+        "repro.stream.ingest:kill_target", config.to_dict(), workdir, args.kill_events,
         lambda run_dir: run_ingest(config, run_dir, resume=True).state.fingerprint(),
         ref_fingerprint,
     )

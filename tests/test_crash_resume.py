@@ -1,11 +1,12 @@
 """Kill-injection acceptance: killed-then-resumed == uninterrupted, bit for bit.
 
 The pipeline runs journaled in a subprocess that SIGKILLs itself the moment
-the k-th journal event is durable (see ``repro.recovery._child``).  Resume
-must then reproduce the uninterrupted reference exactly — same accuracies,
-classifier-weight digests, topics, and the same sha256 for every checkpoint
-payload — while re-executing *only* the stages whose commits never landed,
-which we assert from the journal's own event counts.
+the k-th journal event is durable (``repro.recovery._child`` with target
+``repro.pipeline.scaling:kill_target``).  Resume must then reproduce the
+uninterrupted reference exactly — same accuracies, classifier-weight
+digests, topics, and the same sha256 for every checkpoint payload — while
+re-executing *only* the stages whose commits never landed, which we assert
+from the journal's own event counts.
 """
 
 from __future__ import annotations

@@ -334,3 +334,11 @@ class TestCampaignResume:
     def test_journaled_campaign_requires_cache(self):
         with pytest.raises(RecoveryError, match="require an artifact cache"):
             FaultCampaign(seeds_per_fault=1).run(run_id="camp")
+
+    @pytest.mark.parametrize("arm", ["run", "run_ab"])
+    def test_bad_jobs_fails_before_journal_opens(self, tmp_path, arm):
+        cache = ArtifactCache(tmp_path / "cache")
+        campaign = FaultCampaign(seeds_per_fault=1, jobs=0)
+        with pytest.raises(ValueError):
+            getattr(campaign, arm)(cache=cache, run_id="camp")
+        assert not (tmp_path / "cache" / ".journal" / "camp.jsonl").exists()
