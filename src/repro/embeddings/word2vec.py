@@ -4,7 +4,10 @@ Pure-numpy implementation: for each ``(center, context)`` pair drawn from a
 sliding window, the model pushes the center vector toward the context output
 vector and away from ``negative`` sampled noise words.  Noise words are drawn
 from the unigram distribution raised to the 3/4 power, as in the original
-paper.  Training is deterministic for a fixed seed.
+paper.  Training is blocked SGD: each step scores ``_BLOCK`` pairs at once
+and adds every pair's gradient, so a row hit twice in a step (a repeated
+negative, or a negative equal to the context) takes both updates.  Training
+is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -18,9 +21,26 @@ from repro.textmining.tokenizer import sliding_windows
 from repro.textmining.vocabulary import Vocabulary
 
 
+#: Pairs per SGD step.  Every pair in a block reads the weights as they stood
+#: at the start of the block, and their updates land together.
+_BLOCK = 128
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # Clipped for numerical stability at large |x|.
     return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
+
+
+def _scatter_sub(matrix: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:
+    """``matrix[rows] -= updates``, summing the updates of repeated rows.
+
+    A stable sort groups equal rows in a fixed order, so the sums (and the
+    trained weights) are deterministic.
+    """
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+    matrix[rows[starts]] -= np.add.reduceat(updates[order], starts, axis=0)
 
 
 class Word2Vec:
@@ -94,30 +114,42 @@ class Word2Vec:
             raise ValueError("no training pairs; documents too short for window")
         pair_array = np.array(pairs, dtype=np.int64)
 
-        total_steps = self.epochs * len(pair_array)
+        total_steps = max(self.epochs * len(pair_array), 1)
+        k = 1 + self.negative
+        labels = np.zeros(k)
+        labels[0] = 1.0
         step = 0
         for _ in range(self.epochs):
             order = rng.permutation(len(pair_array))
             negatives = rng.choice(
                 n, size=(len(pair_array), self.negative), p=noise
             )
-            for row, i in enumerate(order):
-                center, ctx = pair_array[i]
-                lr = self.learning_rate * max(
-                    0.1, 1.0 - step / max(total_steps, 1)
+            for start in range(0, len(order), _BLOCK):
+                block = pair_array[order[start : start + _BLOCK]]
+                size = len(block)
+                centers = block[:, 0]
+                targets = np.concatenate(
+                    (block[:, 1:], negatives[start : start + size]), axis=1
                 )
-                step += 1
-                v = vectors[center]
-                # Positive sample.
-                targets = np.concatenate(([ctx], negatives[row]))
-                labels = np.zeros(len(targets))
-                labels[0] = 1.0
+                lr = self.learning_rate * np.maximum(
+                    0.1, 1.0 - (step + np.arange(size)) / total_steps
+                )
+                step += size
+                v = vectors[centers]
                 out = output[targets]
-                scores = _sigmoid(out @ v)
-                gradient = (scores - labels)[:, None]
-                v_grad = (gradient * out).sum(axis=0)
-                output[targets] -= lr * gradient * v
-                vectors[center] -= lr * v_grad
+                scores = _sigmoid(np.einsum("bkd,bd->bk", out, v))
+                gradient = scores - labels
+                scaled = lr[:, None] * gradient
+                _scatter_sub(
+                    output,
+                    targets.ravel(),
+                    (scaled[:, :, None] * v[:, None, :]).reshape(size * k, -1),
+                )
+                _scatter_sub(
+                    vectors,
+                    centers,
+                    lr[:, None] * np.einsum("bk,bkd->bd", gradient, out),
+                )
         self.vocabulary_ = vocab
         self.vectors_ = vectors
         self._output = output

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
+from repro.embeddings.word2vec import _BLOCK
 from repro.parallel import ArtifactCache, WorkPool
 from repro.pipeline.autoclassifier import ClassifierKind
 from repro.pipeline.validation import ValidationReport, validate_pipeline
@@ -41,6 +42,17 @@ from repro.recovery.journal import EVENT_RUN_END, JournalEvent
 _TFIDF_PARAMS = {"min_count": 2, "sublinear_tf": False, "normalize": True}
 #: SVM hyperparameters baked into AutoClassifier, part of validation keys.
 _SVM_PARAMS = {"regularization": 1e-3, "epochs": 40, "class_weight": "balanced"}
+#: AutoClassifier's Word2Vec trainer, part of validation keys, so that a cache
+#: written by another trainer misses.  Not part of the journal's config digest,
+#: which stays pinned so that older journals remain resumable.
+_W2V_PARAMS = {
+    "trainer": "blocked-sgns",
+    "block": _BLOCK,
+    "vector_size": 48,
+    "window": 4,
+    "negative": 5,
+    "epochs": 3,
+}
 
 
 @dataclass
@@ -280,6 +292,7 @@ def run_pipeline(
                 "dimension": dimension,
                 "classifier": kind,
                 "svm": _SVM_PARAMS if kind is ClassifierKind.SVM else None,
+                "w2v": _W2V_PARAMS,
             }
             with _Timer(result, f"validate:{dimension}") as timer:
                 def _validate(dimension: str = dimension):

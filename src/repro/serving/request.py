@@ -75,8 +75,9 @@ class CostModel:
         return self.overhead + self.per_item
 
 
-#: Simulated service-time models per kind.  Classify/query amortize well;
-#: lint and minimize are heavy, unbatchable batch-class work.
+#: Simulated service-time models per kind: hand-set constants for the
+#: simulated clock, not measured from the real backends.  Classify/query
+#: amortize well; lint and minimize are heavy, unbatchable batch-class work.
 KIND_COSTS: dict[RequestKind, CostModel] = {
     RequestKind.CLASSIFY: CostModel(overhead=0.25, per_item=0.05, max_batch=16),
     RequestKind.QUERY: CostModel(overhead=0.05, per_item=0.01, max_batch=32),

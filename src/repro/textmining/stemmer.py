@@ -7,6 +7,8 @@ descriptions before vectorization so that "crashed", "crashes", and
 
 from __future__ import annotations
 
+import functools
+
 
 _VOWELS = frozenset("aeiou")
 
@@ -68,6 +70,9 @@ class PorterStemmer:
 
     def stem(self, word: str) -> str:
         """Return the Porter stem of ``word`` (lower-cased)."""
+        return _stem(word)
+
+    def _stem_uncached(self, word: str) -> str:
         word = word.lower()
         if len(word) <= 2:
             return word
@@ -207,3 +212,14 @@ class PorterStemmer:
         if _measure(word) > 1 and _ends_double_consonant(word) and word.endswith("l"):
             return word[:-1]
         return word
+
+
+_PORTER = PorterStemmer()
+
+
+# A pipeline run stems the same few hundred words tens of thousands of
+# times; ``lru_cache`` is thread-safe, and the bound caps memory on
+# open-ended vocabularies.
+@functools.lru_cache(maxsize=1 << 16)
+def _stem(word: str) -> str:
+    return _PORTER._stem_uncached(word)

@@ -10,8 +10,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.embeddings import Word2Vec
+from repro.embeddings.word2vec import _BLOCK
 from repro.errors import NotFittedError
+from repro.parallel import ArtifactCache
 from repro.pipeline import AutoClassifier, ClassifierKind, validate_pipeline
+from repro.pipeline.scaling import _SVM_PARAMS, _W2V_PARAMS, run_pipeline
 from repro.pipeline.validation import validate_all_dimensions
 
 
@@ -92,3 +96,34 @@ class TestValidation:
             manual_sample, "bug_type", kind=ClassifierKind.DECISION_TREE, seed=0
         )
         assert report.accuracy >= 0.75
+
+
+class TestValidationCacheKey:
+    def test_trainer_params_match_the_trainer(self):
+        classifier, word2vec = AutoClassifier(), Word2Vec()
+        assert _W2V_PARAMS == {
+            "trainer": "blocked-sgns",
+            "block": _BLOCK,
+            "vector_size": classifier.embedding_dim,
+            "window": word2vec.window,
+            "negative": word2vec.negative,
+            "epochs": classifier.word2vec_epochs,
+        }
+
+    def test_report_cached_without_trainer_params_is_not_served(self, tmp_path):
+        """A report written under the pre-blocked-trainer key must miss."""
+        cache = ArtifactCache(tmp_path)
+        stale_params = {
+            "seed": 2020,
+            "split_seed": 0,
+            "dimension": "bug_type",
+            "classifier": ClassifierKind.SVM,
+            "svm": _SVM_PARAMS,
+        }
+        cache.put("validation-svm", stale_params, "stale report")
+        result = run_pipeline(
+            cache=cache, dimensions=("bug_type",), n_topics=4, nmf_restarts=2
+        )
+        assert not result.stage("validate:bug_type").cache_hit
+        assert result.reports["bug_type"] != "stale report"
+        assert cache.get("validation-svm", stale_params) == "stale report"
