@@ -53,13 +53,16 @@ class Invariant:
 
 def _mastership_uniqueness(world: "AdversaryWorld") -> Iterable[tuple[str, str]]:
     """Safety: at most one live node self-claims mastership of each device."""
+    # One pass over the views, not one per device: this runs every tick.
+    claims: dict[int, list[str]] = {}
+    for node, view in world.views.items():
+        if not world.cluster.instances[node].is_alive:
+            continue
+        for dpid, (_term, master) in view.items():
+            if master == node:
+                claims.setdefault(dpid, []).append(node)
     for dpid in world.dpids:
-        claimants = sorted(
-            node
-            for node, view in world.views.items()
-            if world.cluster.instances[node].is_alive
-            and view.get(dpid, (0, None))[1] == node
-        )
+        claimants = sorted(claims.get(dpid, ()))
         if len(claimants) > 1:
             yield (
                 f"dpid={dpid}",

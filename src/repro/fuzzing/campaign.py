@@ -35,6 +35,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.adversary.minimizer import minimize_schedule
 from repro.adversary.schedule import FaultSchedule
 from repro.adversary.world import AdversaryResult, run_adversary
@@ -176,27 +178,51 @@ def _select_novel(
     already-picked) feature vector; candidates the tree flagged as unlikely
     to violate have their novelty halved rather than being dropped — the
     tree biases, the coverage map decides.
+
+    Incremental farthest-point: each candidate's squared distance to its
+    nearest reference is computed once against ``executed`` and then only
+    lowered by each new pick, so a batch costs O(pool x (executed + count))
+    rather than a full rescan per pick.  Squares are summed one feature
+    column at a time (the order of a sequential sum), the root is taken per
+    scalar with ``** 0.5`` and ties go to the lowest index, so the picks are
+    the ones the plain per-pick rescan makes, bit for bit.
     """
+    if not feats:
+        return []
+    candidates = np.asarray(feats, dtype=float)
+    discount = [0.5 if flag else 1.0 for flag in boring]
+    near = _squared_distances(candidates, np.asarray(executed, dtype=float))
     chosen: list[int] = []
-    reference = [list(row) for row in executed]
     pool = list(range(len(feats)))
     while pool and len(chosen) < count:
         best_index, best_score = pool[0], -1.0
         for i in pool:
-            near = min(
-                (_distance(feats[i], ref) for ref in reference), default=1e9
-            )
-            score = near * (0.5 if boring[i] else 1.0)
+            # No reference yet (empty ``executed``, first pick): every
+            # candidate is equally, maximally novel.
+            score = (1e9 if near is None else float(near[i]) ** 0.5) * discount[i]
             if score > best_score:
                 best_index, best_score = i, score
         pool.remove(best_index)
         chosen.append(best_index)
-        reference.append(feats[best_index])
+        picked = _squared_distances(candidates, candidates[best_index : best_index + 1])
+        near = picked if near is None else np.minimum(near, picked)
     return chosen
 
 
-def _distance(a: list[float], b: list[float]) -> float:
-    return sum((x - y) ** 2 for x, y in zip(a, b)) ** 0.5
+def _squared_distances(candidates: np.ndarray, refs: np.ndarray) -> np.ndarray | None:
+    """Each candidate's squared distance to its nearest row of ``refs``.
+
+    ``None`` when there are no references.  The ``(pool, refs)`` matrix is
+    accumulated one feature column at a time, never as a ``(pool, refs, d)``
+    tensor, so memory stays flat as the executed set grows.
+    """
+    if refs.size == 0:
+        return None
+    total = np.zeros((candidates.shape[0], refs.shape[0]))
+    for column in range(candidates.shape[1]):
+        diff = candidates[:, column, None] - refs[None, :, column]
+        total += diff * diff
+    return total.min(axis=1)
 
 
 def _violation_class(signature: str) -> str:

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.codebase import release_series
 from repro.corpus import CorpusGenerator, StudyCorpus
 from repro.corpus.dataset import BugDataset
+
+# ``--hypothesis-profile=ci`` makes example choice a function of the test
+# alone, so a CI failure reproduces on every rerun; local runs keep
+# exploring fresh random examples.
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adversary import (
     CHANNEL_ACTIONS,
@@ -15,6 +19,7 @@ from repro.adversary import (
     random_schedule,
     run_adversary,
 )
+from repro.adversary.invariants import _mastership_uniqueness
 from repro.errors import ReproError, ScheduleError
 from repro.resilience import ResilienceEvent, ResilienceLedger
 from repro.sdnsim import EventScheduler
@@ -94,6 +99,77 @@ class TestSchedule:
         assert restored == schedule
         again = FaultSchedule.from_dicts(restored.to_dicts())
         assert again.to_dicts() == schedule.to_dicts()
+
+
+def _per_dpid_reference(world):
+    """The per-device scan ``_mastership_uniqueness`` replaced, kept as its
+    oracle."""
+    for dpid in world.dpids:
+        claimants = sorted(
+            node
+            for node, view in world.views.items()
+            if world.cluster.instances[node].is_alive
+            and view.get(dpid, (0, None))[1] == node
+        )
+        if len(claimants) > 1:
+            yield (
+                f"dpid={dpid}",
+                f"dual mastership: {', '.join(claimants)} all claim dpid {dpid}",
+            )
+
+
+def _fake_world(dpids, alive, views):
+    instances = {
+        node: SimpleNamespace(is_alive=is_alive) for node, is_alive in alive.items()
+    }
+    return SimpleNamespace(
+        dpids=tuple(dpids), views=views, cluster=SimpleNamespace(instances=instances)
+    )
+
+
+_NODES = ("n1", "n2", "n3", "n4", "n5")
+
+
+@st.composite
+def _mastership_world(draw):
+    nodes = draw(st.lists(st.sampled_from(_NODES), min_size=1, unique=True))
+    alive = {node: draw(st.booleans()) for node in nodes}
+    # Views may also hold dpids outside ``world.dpids`` (7 and 8 here) and
+    # name masters that are not cluster members.
+    masters = st.sampled_from(nodes + ["ghost"])
+    view = st.dictionaries(
+        st.integers(1, 8), st.tuples(st.integers(0, 4), masters), max_size=8
+    )
+    views = {node: draw(view) for node in nodes}
+    dpids = draw(st.lists(st.integers(1, 6), unique=True, max_size=6))
+    return _fake_world(dpids, alive, views)
+
+
+class TestMastershipUniqueness:
+    @settings(max_examples=300, deadline=None)
+    @given(world=_mastership_world())
+    def test_matches_per_dpid_scan(self, world):
+        assert list(_mastership_uniqueness(world)) == list(
+            _per_dpid_reference(world)
+        )
+
+    def test_dead_and_foreign_claims_are_ignored(self):
+        world = _fake_world(
+            dpids=(3, 1),
+            alive={"b": True, "a": True, "c": True, "d": False},
+            views={
+                "b": {1: (2, "b"), 3: (1, "b"), 9: (1, "b")},
+                "a": {1: (1, "a"), 3: (1, "b"), 9: (1, "a")},
+                "c": {1: (3, "c")},
+                "d": {3: (1, "d")},
+            },
+        )
+        assert list(_mastership_uniqueness(world)) == [
+            ("dpid=1", "dual mastership: a, b, c all claim dpid 1"),
+        ]
+        assert list(_mastership_uniqueness(world)) == list(
+            _per_dpid_reference(world)
+        )
 
 
 class TestInterposer:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from repro.fuzzing import (
     seed_schedule,
     validate_schedule,
 )
-from repro.fuzzing.campaign import _replay
+from repro.fuzzing.campaign import _replay, _select_novel
 from repro.fuzzing.features import FEATURE_NAMES
 
 _SMALL = dict(
@@ -193,6 +194,108 @@ class TestState:
         versioned.write_text('{"version": 99}', encoding="utf-8")
         with pytest.raises(FuzzError, match="version"):
             load_state(versioned)
+
+
+def _rescan_reference(
+    feats: list[list[float]],
+    boring: list[bool],
+    executed: list[list[float]],
+    count: int,
+) -> list[int]:
+    """The per-pick rescan ``_select_novel`` replaced, kept as its oracle."""
+    chosen: list[int] = []
+    reference = [list(row) for row in executed]
+    pool = list(range(len(feats)))
+    while pool and len(chosen) < count:
+        best_index, best_score = pool[0], -1.0
+        for i in pool:
+            near = min(
+                (_distance(feats[i], ref) for ref in reference), default=1e9
+            )
+            score = near * (0.5 if boring[i] else 1.0)
+            if score > best_score:
+                best_index, best_score = i, score
+        pool.remove(best_index)
+        chosen.append(best_index)
+        reference.append(feats[best_index])
+    return chosen
+
+
+def _distance(a: list[float], b: list[float]) -> float:
+    return sum((x - y) ** 2 for x, y in zip(a, b)) ** 0.5
+
+
+# Quarter steps keep every squared difference and every sum exact, so the
+# oracle holds however the interpreter's ``sum`` rounds (it compensates from
+# Python 3.12 on), and the coarse grid makes exact distance ties common.
+_GRID = st.integers(-8, 8).map(lambda k: k / 4)
+
+
+@st.composite
+def _selection_case(draw):
+    width = draw(st.integers(1, 5))
+    row = st.lists(_GRID, min_size=width, max_size=width)
+    executed = draw(st.lists(row, max_size=8))
+    feats = draw(st.lists(row, max_size=12))
+    # Duplicate candidates, and candidates equal to an executed row.
+    if feats or executed:
+        feats += draw(st.lists(st.sampled_from(feats + executed), max_size=4))
+    feats = draw(st.permutations(feats))
+    n = len(feats)
+    boring = draw(st.one_of(
+        st.just([False] * n),
+        st.just([True] * n),
+        st.lists(st.booleans(), min_size=n, max_size=n),
+    ))
+    count = draw(st.integers(0, n + 3))
+    return feats, boring, executed, count
+
+
+class TestNoveltySelection:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_selection_case())
+    def test_matches_per_pick_rescan(self, case):
+        feats, boring, executed, count = case
+        assert _select_novel(feats, boring, executed, count) == (
+            _rescan_reference(feats, boring, executed, count)
+        )
+
+    def test_named_edge_cases(self):
+        rows = [[0.0, 1.0], [2.0, 0.5], [0.0, 1.0], [1.5, 1.5]]
+        cases = [
+            (rows, [False] * 4, [], 2),  # no executed rows yet
+            (rows, [False, True, False, True], [[1.0, 1.0]], 9),  # count > pool
+            (rows, [True] * 4, [[0.0, 1.0]], 3),  # all boring; a zero distance
+            ([], [], [[1.0, 1.0]], 3),  # empty pool
+        ]
+        for feats, boring, executed, count in cases:
+            assert _select_novel(feats, boring, executed, count) == (
+                _rescan_reference(feats, boring, executed, count)
+            )
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 12),
+    reason="pinned on Python 3.11: from 3.12 builtins.sum compensates, which "
+    "moves the last bits of schedule features and so the fingerprint",
+)
+class TestPinnedFingerprints:
+    """Campaign fingerprints of the pre-incremental selection; any drift in
+    selection or the invariant monitors changes the search and fails here."""
+
+    @pytest.mark.parametrize("config, fingerprint", [
+        (
+            dict(seed=0, budget=60),
+            "d67dc387e3155b28a734bca0d0538aeee1fe30a012652fb0147399cafd4e7f8a",
+        ),
+        (
+            dict(seed=7, budget=60, topology="star"),
+            "28f604c4191618bceb026bb2ebf9695b230be1d3d8308118f4f4b606b88ca7ac",
+        ),
+    ])
+    def test_fingerprint_is_pinned(self, tmp_path, config, fingerprint):
+        report = run_campaign(FuzzConfig(**config), tmp_path / "run")
+        assert report.state.fingerprint() == fingerprint
 
 
 class TestCampaign:
