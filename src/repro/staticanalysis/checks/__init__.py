@@ -14,7 +14,6 @@ durability-except     error_handling  error     non_deterministic  ecosystem_sys
 lock-order-cycle      concurrency     error     non_deterministic  concurrency
 unlocked-shared-write concurrency     warning   non_deterministic  concurrency
 open-no-with          resources       warning   deterministic      ecosystem_system_call
-replace-no-fsync      resources       error     non_deterministic  ecosystem_system_call
 raw-publish           resources       error     non_deterministic  ecosystem_system_call
 ====================  ==============  ========  =================  =====================
 
@@ -45,7 +44,6 @@ from repro.staticanalysis.checks.nondeterminism import (
 from repro.staticanalysis.checks.resources import (
     OpenNoWithDetector,
     RawPublishDetector,
-    ReplaceNoFsyncDetector,
 )
 
 #: Canonical detector order (stable across runs and reports).
@@ -61,7 +59,6 @@ DETECTOR_TYPES: tuple[type[Detector], ...] = (
     LockOrderCycleDetector,
     UnlockedSharedWriteDetector,
     OpenNoWithDetector,
-    ReplaceNoFsyncDetector,
     RawPublishDetector,
 )
 

@@ -6,7 +6,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.staticanalysis.loader import ModuleInfo, parent_of
 from repro.staticanalysis.model import Finding, Severity
@@ -98,7 +98,7 @@ class Detector:
     ) -> Finding | None:
         """Build a finding at ``node``, honouring inline suppressions."""
         line = getattr(node, "lineno", 0)
-        if _suppressed(module, line, self.id):
+        if inline_suppressed(module.line_text(line), self.id):
             return None
         return Finding(
             detector=self.id,
@@ -112,8 +112,9 @@ class Detector:
         )
 
 
-def _suppressed(module: ModuleInfo, line: int, detector_id: str) -> bool:
-    match = _DISABLE_RE.search(module.line_text(line))
+def inline_suppressed(line_text: str, detector_id: str) -> bool:
+    """Does ``line_text`` carry a ``# sdnlint: disable`` for ``detector_id``?"""
+    match = _DISABLE_RE.search(line_text)
     if match is None:
         return False
     ids = match.group(1)
@@ -149,12 +150,6 @@ def iter_own_nodes(func: ast.AST) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-def calls_in(node: ast.AST) -> Iterator[ast.Call]:
-    for child in ast.walk(node):
-        if isinstance(child, ast.Call):
-            yield child
-
-
 def has_bare_raise(body: list[ast.stmt]) -> bool:
     """True if the handler body re-raises (bare ``raise`` or raise-from)."""
     for stmt in body:
@@ -173,16 +168,17 @@ def is_set_expr(node: ast.AST, module: ModuleInfo) -> bool:
     return False
 
 
-def set_typed_names(scope: ast.AST, module: ModuleInfo) -> set[str]:
-    """Names bound to set-typed values in ``scope`` and never rebound otherwise.
+def set_typed_names(own_nodes: Iterable[ast.AST], module: ModuleInfo) -> set[str]:
+    """Names bound to set-typed values in a scope and never rebound otherwise.
 
-    Conservative local inference: a name qualifies only when *every*
-    assignment to it in the scope is set-typed (including ``x: set[...]``
-    annotations), so reuse of a name for other types disqualifies it.
+    ``own_nodes`` is the scope's :func:`iter_own_nodes`.  Conservative
+    local inference: a name qualifies only when *every* assignment to it
+    in the scope is set-typed (including ``x: set[...]`` annotations), so
+    reuse of a name for other types disqualifies it.
     """
     set_bound: set[str] = set()
     other_bound: set[str] = set()
-    for node in iter_own_nodes(scope):
+    for node in own_nodes:
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             target = node.targets[0]
             if isinstance(target, ast.Name):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.staticanalysis.checks.base import AnalysisContext, Detector
-from repro.staticanalysis.loader import ModuleInfo
+from repro.staticanalysis.loader import ModuleInfo, parent_of
 from repro.staticanalysis.model import Finding, Severity
 from repro.taxonomy import BugType, RootCause
 
@@ -70,27 +70,30 @@ class _LockNames:
 
 
 def _collect_lock_names(module: ModuleInfo) -> _LockNames:
+    """Module-level lock names, and lock attributes per top-level class
+    (assigned anywhere inside it)."""
     names = _LockNames()
-    for node in module.tree.body:
-        if isinstance(node, ast.Assign) and _is_lock_ctor(node.value, module):
+    for node in module.nodes(ast.Assign):
+        if not _is_lock_ctor(node.value, module):
+            continue
+        top = node
+        while parent_of(top) is not module.tree:
+            top = parent_of(top)
+        if top is node:
             for target in node.targets:
                 if isinstance(target, ast.Name):
                     names.module_level.add(target.id)
-        elif isinstance(node, ast.ClassDef):
-            attrs: set[str] = set()
-            for item in ast.walk(node):
-                if isinstance(item, ast.Assign) and _is_lock_ctor(item.value, module):
-                    for target in item.targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"
-                        ):
-                            attrs.add(target.attr)
-                        elif isinstance(target, ast.Name):
-                            attrs.add(target.id)
-            if attrs:
-                names.class_attrs[node.name] = attrs
+        elif isinstance(top, ast.ClassDef):
+            attrs = names.class_attrs.setdefault(top.name, set())
+            for target in node.targets:
+                if (
+                    isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"
+                ):
+                    attrs.add(target.attr)
+                elif isinstance(target, ast.Name):
+                    attrs.add(target.id)
     return names
 
 
@@ -275,9 +278,7 @@ class UnlockedSharedWriteDetector(Detector):
         self, module: ModuleInfo, ctx: AnalysisContext
     ) -> Iterator[Finding]:
         pool_names = self._pool_names(module)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.nodes(ast.Call):
             task_ref = self._task_reference(node, module, pool_names)
             if task_ref is None:
                 continue
@@ -291,8 +292,8 @@ class UnlockedSharedWriteDetector(Detector):
     def _pool_names(module: ModuleInfo) -> set[str]:
         """Names assigned from a pool/executor constructor in this module."""
         names: set[str] = set()
-        for node in ast.walk(module.tree):
-            if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
+        for node in module.nodes(ast.Assign):
+            if len(node.targets) != 1:
                 continue
             target = node.targets[0]
             value = node.value

@@ -57,9 +57,7 @@ class BareExceptDetector(Detector):
     def check_module(
         self, module: ModuleInfo, ctx: AnalysisContext
     ) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
+        for node in module.nodes(ast.ExceptHandler):
             if node.type is None:
                 message = (
                     "bare except traps SystemExit/KeyboardInterrupt; catch a "
@@ -91,10 +89,8 @@ class OverbroadExceptDetector(Detector):
     def check_module(
         self, module: ModuleInfo, ctx: AnalysisContext
     ) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ExceptHandler) or node.type is None:
-                continue
-            if module.resolve(node.type) != "Exception":
+        for node in module.nodes(ast.ExceptHandler):
+            if node.type is None or module.resolve(node.type) != "Exception":
                 continue
             if has_bare_raise(node.body):
                 continue
@@ -118,9 +114,7 @@ class SwallowedExceptionDetector(Detector):
     def check_module(
         self, module: ModuleInfo, ctx: AnalysisContext
     ) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
+        for node in module.nodes(ast.ExceptHandler):
             if node.type is None:
                 continue  # bare-except already files an error here
             if not _handler_only_passes(node):
@@ -146,9 +140,7 @@ class DurabilityExceptDetector(Detector):
     def check_module(
         self, module: ModuleInfo, ctx: AnalysisContext
     ) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Try):
-                continue
+        for node in module.nodes(ast.Try):
             if not self._try_body_is_durability(node, module):
                 continue
             for handler in node.handlers:

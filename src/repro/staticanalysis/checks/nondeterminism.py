@@ -92,9 +92,7 @@ class UnseededRandomDetector(Detector):
     def check_module(
         self, module: ModuleInfo, ctx: AnalysisContext
     ) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.nodes(ast.Call):
             qualified = module.resolve(node.func)
             if qualified is None:
                 continue
@@ -134,9 +132,7 @@ class WallClockDetector(Detector):
     def check_module(
         self, module: ModuleInfo, ctx: AnalysisContext
     ) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.nodes(ast.Call):
             qualified = module.resolve(node.func)
             label = _WALL_CLOCK.get(qualified or "")
             if label is None:
@@ -161,7 +157,7 @@ class HashSeedDetector(Detector):
     def check_module(
         self, module: ModuleInfo, ctx: AnalysisContext
     ) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes(ast.Call, ast.Assign):
             hash_call = None
             if isinstance(node, ast.Call):
                 qualified = module.resolve(node.func)
@@ -212,14 +208,13 @@ class UnorderedIterationDetector(Detector):
     def check_module(
         self, module: ModuleInfo, ctx: AnalysisContext
     ) -> Iterator[Finding]:
-        # Per-scope set-name inference: module scope plus each function.
-        scopes: list[ast.AST] = [module.tree]
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scopes.append(node)
-        for scope in scopes:
-            set_names = set_typed_names(scope, module)
-            for node in iter_own_nodes(scope):
+        # Per-scope set-name inference: the module, each function and each
+        # class body (class-level constants materialize hash order too).
+        scopes = module.nodes(ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        for scope in [module.tree, *scopes]:
+            own = list(iter_own_nodes(scope))
+            set_names = set_typed_names(own, module)
+            for node in own:
                 finding = self._check_node(node, set_names, module, ctx)
                 if finding is not None:
                     yield finding

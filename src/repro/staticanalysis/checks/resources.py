@@ -8,14 +8,13 @@ cache, corpus shards).
 * ``open-no-with`` — an ``open()`` whose handle is neither managed by a
   ``with`` block, closed in the same scope, nor owned by an object
   (``self.handle = open(...)``): a leak under any exception path.
-* ``replace-no-fsync`` — a function that writes data and publishes it
-  with ``os.replace`` but never calls ``os.fsync``: after a crash the
-  rename may survive while the data does not, exactly the torn-write
-  class the recovery harness injects.
 * ``raw-publish`` — any ``os.replace``/``os.rename`` outside
   :mod:`repro.recovery.durable`: its ``atomic_write`` is the one publish
   that fsyncs before the rename and never leaves a tmp file behind, so a
-  hand-rolled rename is a second crash model to keep correct.
+  hand-rolled rename is a second crash model to keep correct.  This also
+  covers the torn write the recovery harness injects (data renamed into
+  place with no fsync): every such rename is a rename outside the
+  durable module.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ from repro.staticanalysis.loader import ModuleInfo, parent_of
 from repro.staticanalysis.model import Finding, Severity
 from repro.taxonomy import BugType, RootCause
 
-_WRITE_MODES = ("w", "a", "x", "+")
-
 
 class OpenNoWithDetector(Detector):
     id = "open-no-with"
@@ -47,12 +44,8 @@ class OpenNoWithDetector(Detector):
     def check_module(
         self, module: ModuleInfo, ctx: AnalysisContext
     ) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if not _is_open_call(node, module):
-                continue
-            if self._is_managed(node, module):
+        for node in module.nodes(ast.Call):
+            if not _is_open_call(node, module) or self._is_managed(node, module):
                 continue
             found = self.finding(
                 module, ctx, node,
@@ -117,84 +110,6 @@ def _scope_closes_or_returns(scope: ast.AST, name: str) -> bool:
     return False
 
 
-class ReplaceNoFsyncDetector(Detector):
-    id = "replace-no-fsync"
-    family = "resources"
-    description = "write-tmp-rename publish without fsync before os.replace"
-    severity = Severity.ERROR
-    bug_type = BugType.NON_DETERMINISTIC
-    root_cause = RootCause.ECOSYSTEM_SYSTEM_CALL
-
-    def check_module(
-        self, module: ModuleInfo, ctx: AnalysisContext
-    ) -> Iterator[Finding]:
-        functions = [
-            node
-            for node in ast.walk(module.tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        for func in functions:
-            yield from self._check_function(func, module, ctx)
-
-    def _check_function(
-        self, func: ast.AST, module: ModuleInfo, ctx: AnalysisContext
-    ) -> Iterator[Finding]:
-        replaces: list[ast.Call] = []
-        has_fsync = False
-        first_write_line: int | None = None
-        for node in iter_own_nodes(func):
-            if not isinstance(node, ast.Call):
-                continue
-            qualified = module.resolve(node.func)
-            if qualified in ("os.replace", "os.rename"):
-                replaces.append(node)
-            elif qualified in ("os.fsync", "os.fdatasync"):
-                has_fsync = True
-            elif _is_write_evidence(node, module, qualified):
-                line = getattr(node, "lineno", 0)
-                if first_write_line is None or line < first_write_line:
-                    first_write_line = line
-        if not replaces or has_fsync or first_write_line is None:
-            return
-        # Only a write that happens *before* the rename can be the renamed
-        # content; trailing breadcrumb writes don't make the publish torn.
-        replaces = [
-            call for call in replaces
-            if getattr(call, "lineno", 0) > first_write_line
-        ]
-        for call in replaces:
-            verb = module.resolve(call.func)
-            found = self.finding(
-                module, ctx, call,
-                f"{verb} publishes freshly written data with no fsync: a "
-                "crash can keep the rename but lose the bytes; fsync the "
-                "file (and ideally its directory) first",
-            )
-            if found is not None:
-                yield found
-
-
-def _is_write_evidence(
-    call: ast.Call, module: ModuleInfo, qualified: str | None
-) -> bool:
-    """Does this call write file contents (open-for-write or .write*)?"""
-    if _is_open_call(call, module):
-        mode = None
-        if len(call.args) >= 2 and isinstance(call.args[1], ast.Constant):
-            mode = call.args[1].value
-        elif len(call.args) >= 1 and isinstance(call.func, ast.Attribute):
-            # path.open("w"): mode is the first argument.
-            if isinstance(call.args[0], ast.Constant):
-                mode = call.args[0].value
-        for keyword in call.keywords:
-            if keyword.arg == "mode" and isinstance(keyword.value, ast.Constant):
-                mode = keyword.value.value
-        return isinstance(mode, str) and any(c in mode for c in _WRITE_MODES)
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr in ("write", "writelines", "write_text", "write_bytes")
-    return False
-
-
 #: The one module allowed to rename files into place.
 _DURABLE_MODULE = "repro.recovery.durable"
 
@@ -212,9 +127,7 @@ class RawPublishDetector(Detector):
     ) -> Iterator[Finding]:
         if module.name == _DURABLE_MODULE:
             return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.nodes(ast.Call):
             verb = module.resolve(node.func)
             if verb not in ("os.replace", "os.rename"):
                 continue

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from repro.staticanalysis.checks.base import _DISABLE_RE
+from repro.staticanalysis.checks.base import inline_suppressed
 from repro.staticanalysis.dataflow.callgraph import CallGraph
 from repro.staticanalysis.dataflow.taint import TaintAnalysis
 from repro.staticanalysis.model import Finding, Severity
@@ -82,7 +82,7 @@ class DataflowDetector:
         col: int,
         message: str,
     ) -> Finding | None:
-        if _inline_suppressed(ctx, path, line, self.id):
+        if inline_suppressed(ctx.line_text(path, line), self.id):
             return None
         return Finding(
             detector=self.id,
@@ -94,18 +94,6 @@ class DataflowDetector:
             bug_type=self.bug_type,
             root_cause=self.root_cause,
         )
-
-
-def _inline_suppressed(
-    ctx: DataflowContext, path: str, line: int, detector_id: str
-) -> bool:
-    match = _DISABLE_RE.search(ctx.line_text(path, line))
-    if match is None:
-        return False
-    ids = match.group(1)
-    if ids is None:  # disable-all
-        return True
-    return detector_id in {part.strip() for part in ids.split(",")}
 
 
 class WallClockTaintDetector(DataflowDetector):

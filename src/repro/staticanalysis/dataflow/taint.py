@@ -23,6 +23,7 @@ and the handle-returning function set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from repro.staticanalysis.dataflow.callgraph import CallGraph
@@ -59,31 +60,37 @@ class TaintRule:
     sink_description: str
     sanitizers: tuple[str, ...] = ("len", "bool", "type", "isinstance")
 
+    @cached_property
+    def _source_names(self) -> tuple[frozenset[str], frozenset[str]]:
+        """(plain source names, zero-argument-only source names)."""
+        noargs = {p[: -len(_NOARGS)] for p in self.sources if p.endswith(_NOARGS)}
+        plain = {p for p in self.sources if not p.endswith(_NOARGS)}
+        return frozenset(plain), frozenset(noargs)
+
     def matches_source(self, site: CallSite) -> bool:
-        for pattern in self.sources:
-            if pattern.endswith(_NOARGS):
-                if (
-                    site.callee == pattern[: -len(_NOARGS)]
-                    and not site.arg_feeds
-                    and not site.kw_feeds
-                    and not site.all_feeds()
-                ):
-                    return True
-            elif site.callee == pattern:
-                return True
-        return False
+        plain, noargs = self._source_names
+        if site.callee in plain:
+            return True
+        return (
+            site.callee in noargs
+            and not site.arg_feeds
+            and not site.kw_feeds
+            and not site.all_feeds()
+        )
+
+    @cached_property
+    def _sink_names(self) -> frozenset[str]:
+        # ".name" and "name" match the same trailing dotted segments.
+        return frozenset(p.lstrip(".") for p in self.sinks)
 
     def matches_sink(self, callee: str) -> bool:
-        return any(_pattern_matches(p, callee) for p in self.sinks)
+        parts = callee.split(".")
+        return any(
+            ".".join(parts[i:]) in self._sink_names for i in range(len(parts))
+        )
 
     def sanitizes(self, callee: str) -> bool:
         return callee in self.sanitizers
-
-
-def _pattern_matches(pattern: str, callee: str) -> bool:
-    if pattern.startswith("."):
-        return callee.endswith(pattern) or callee == pattern[1:]
-    return callee == pattern or callee.endswith("." + pattern)
 
 
 @dataclass(frozen=True)

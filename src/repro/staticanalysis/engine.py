@@ -1,4 +1,4 @@
-"""The sdnlint analyzer: load -> per-module walks -> cross-module passes.
+"""The sdnlint analyzer: load (one walk per module) -> detectors -> cross-module passes.
 
 The engine itself is stdlib-``ast`` only: scanning never imports or
 executes the code under analysis, so syntactically valid modules with

@@ -2,16 +2,20 @@
 
 The loader turns a set of files/directories into :class:`ModuleInfo`
 records: parsed AST (with parent back-links annotated on every node), the
-module's dotted name inferred from its package layout, and an import table
-mapping every local alias to the fully qualified name it stands for.  The
-import table is what lets detectors ask *semantic* questions ("is this
-call ``numpy.random.default_rng``?") instead of string-matching on
-whatever alias the file happens to use.
+module's dotted name inferred from its package layout, an import table
+mapping every local alias to the fully qualified name it stands for, and
+a per-type node index.  All three tables come out of one walk over the
+tree, so detectors query :meth:`ModuleInfo.nodes` instead of walking the
+module again.  The import table is what lets detectors ask *semantic*
+questions ("is this call ``numpy.random.default_rng``?") instead of
+string-matching on whatever alias the file happens to use.
 """
 
 from __future__ import annotations
 
 import ast
+import heapq
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -30,6 +34,17 @@ class ModuleInfo:
     source: str
     #: alias visible in this module -> fully qualified dotted name.
     imports: dict[str, str] = field(default_factory=dict)
+    #: concrete node type -> its nodes in ``ast.walk`` order.
+    index: dict[type, list[ast.AST]] = field(default_factory=dict, repr=False)
+    #: node -> position in ``ast.walk`` order (merges multi-type queries).
+    order: dict[ast.AST, int] = field(default_factory=dict, repr=False)
+
+    def nodes(self, *types: type) -> list[ast.AST]:
+        """Every node of the given concrete types, in ``ast.walk`` order."""
+        if len(types) == 1:
+            return self.index.get(types[0], [])
+        lists = [self.index.get(t, []) for t in types]
+        return list(heapq.merge(*lists, key=self.order.__getitem__))
 
     @property
     def lines(self) -> list[str]:
@@ -64,29 +79,32 @@ class ModuleInfo:
         return ".".join(parts)
 
 
-def annotate_parents(tree: ast.AST) -> None:
-    """Attach a ``sdnlint_parent`` back-link to every node in ``tree``."""
-    for parent in ast.walk(tree):
-        for child in ast.iter_child_nodes(parent):
-            child.sdnlint_parent = parent  # type: ignore[attr-defined]
-
-
 def parent_of(node: ast.AST) -> ast.AST | None:
     return getattr(node, "sdnlint_parent", None)
 
 
-def build_import_table(tree: ast.Module) -> dict[str, str]:
-    """Map each locally bound import alias to its fully qualified target."""
-    table: dict[str, str] = {}
-    for node in ast.walk(tree):
+def _index_tree(tree: ast.Module, info: ModuleInfo) -> None:
+    """The one walk over ``tree``: parent links, imports and the type index.
+
+    Visits nodes in ``ast.walk`` (breadth-first) order and attaches a
+    ``sdnlint_parent`` back-link to every child on the way.
+    """
+    todo: deque[ast.AST] = deque([tree])
+    while todo:
+        node = todo.popleft()
+        info.order[node] = len(info.order)
+        info.index.setdefault(type(node), []).append(node)
+        for child in ast.iter_child_nodes(node):
+            child.sdnlint_parent = node  # type: ignore[attr-defined]
+            todo.append(child)
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname is not None:
-                    table[alias.asname] = alias.name
+                    info.imports[alias.asname] = alias.name
                 else:
                     # ``import os.path`` binds the *top-level* name ``os``.
                     top = alias.name.split(".")[0]
-                    table[top] = top
+                    info.imports[top] = top
         elif isinstance(node, ast.ImportFrom):
             if node.module is None or node.level:
                 continue  # relative imports: module name is ambiguous here
@@ -94,8 +112,7 @@ def build_import_table(tree: ast.Module) -> dict[str, str]:
                 if alias.name == "*":
                     continue
                 bound = alias.asname or alias.name
-                table[bound] = f"{node.module}.{alias.name}"
-    return table
+                info.imports[bound] = f"{node.module}.{alias.name}"
 
 
 def module_name_for(path: Path) -> tuple[str, str]:
@@ -154,16 +171,16 @@ def load_module(path: Path) -> ModuleInfo:
         raise StaticAnalysisError(
             f"{path}:{exc.lineno or 0}: syntax error: {exc.msg}"
         ) from exc
-    annotate_parents(tree)
     name, package = module_name_for(path)
-    return ModuleInfo(
+    info = ModuleInfo(
         path=path,
         name=name,
         package=package,
         tree=tree,
         source=source,
-        imports=build_import_table(tree),
     )
+    _index_tree(tree, info)
+    return info
 
 
 def load_paths(paths: Iterable[str | Path]) -> list[ModuleInfo]:

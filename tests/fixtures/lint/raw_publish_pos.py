@@ -1,4 +1,4 @@
-"""Fixture: a hand-rolled tmp + fsync + rename publish (raw-publish fires)."""
+"""Fixture: hand-rolled renames outside the durable runtime (raw-publish fires)."""
 
 import os
 from os import rename
@@ -14,3 +14,10 @@ def publish(tmp, final, data):
 
 def rotate(old, new):
     rename(old, new)
+
+
+def publish_unsynced(tmp, final, data):
+    # Never fsynced: a crash can keep the rename but lose the bytes.
+    with open(tmp, "w") as handle:
+        handle.write(data)
+    os.replace(tmp, final)

@@ -25,6 +25,8 @@ from repro.staticanalysis import (
     write_baseline,
 )
 from repro.staticanalysis.dataflow import (
+    DEFAULT_TAINT_SPEC,
+    CallSite,
     build_call_graph,
     dataflow_detector_ids,
     summarize_source,
@@ -107,6 +109,76 @@ class TestDataflowFixturePairs:
             for f in result.report.active
             if f.detector == "dataflow.wall-clock-taint"
         ]
+
+
+# -- taint rule matching -------------------------------------------------------
+
+
+def _reference_matches_source(rule, site) -> bool:
+    """The per-pattern scan the set lookup replaced."""
+    for pattern in rule.sources:
+        if pattern.endswith("!noargs"):
+            if (
+                site.callee == pattern[: -len("!noargs")]
+                and not site.arg_feeds
+                and not site.kw_feeds
+                and not site.all_feeds()
+            ):
+                return True
+        elif site.callee == pattern:
+            return True
+    return False
+
+
+def _reference_matches_sink(rule, callee: str) -> bool:
+    """The per-pattern suffix test the segment lookup replaced."""
+    for pattern in rule.sinks:
+        if pattern.startswith("."):
+            if callee.endswith(pattern) or callee == pattern[1:]:
+                return True
+        elif callee == pattern or callee.endswith("." + pattern):
+            return True
+    return False
+
+
+_SEGMENTS = sorted({
+    part
+    for rule in DEFAULT_TAINT_SPEC.rules
+    for pattern in rule.sources + rule.sinks
+    for part in pattern.replace("!noargs", "").split(".")
+} | {"", "self", "x", "put_"})
+_CALLEES = st.lists(st.sampled_from(_SEGMENTS), min_size=1, max_size=4).map(".".join)
+_FEEDS = st.lists(st.sampled_from(["param:0", "call:1"]), max_size=2).map(tuple)
+
+
+class TestTaintRuleMatching:
+    @settings(max_examples=300)
+    @given(
+        callee=_CALLEES,
+        arg_feeds=st.lists(_FEEDS, max_size=2).map(tuple),
+        kw_feeds=st.lists(st.tuples(st.just("seed"), _FEEDS), max_size=1).map(tuple),
+        recv_feeds=_FEEDS,
+    )
+    def test_matches_reference(self, callee, arg_feeds, kw_feeds, recv_feeds):
+        site = CallSite(
+            index=0, callee=callee, line=1, col=0, arg_feeds=arg_feeds,
+            kw_feeds=kw_feeds, recv_feeds=recv_feeds,
+        )
+        for rule in DEFAULT_TAINT_SPEC.rules:
+            assert rule.matches_source(site) == _reference_matches_source(rule, site)
+            assert rule.matches_sink(callee) == _reference_matches_sink(rule, callee)
+
+    def test_named_cases(self):
+        wall, rng = DEFAULT_TAINT_SPEC.rules
+        assert rng.matches_source(CallSite(0, "random.Random", 1, 0))
+        assert not rng.matches_source(
+            CallSite(0, "random.Random", 1, 0, arg_feeds=((),))
+        )
+        assert wall.matches_sink("self.journal.append")
+        assert rng.matches_sink("path.write_text")
+        assert rng.matches_sink("write_text")
+        assert not rng.matches_sink("path.write_texts")
+        assert not wall.matches_sink("myjournal.append")
 
 
 # -- call graph / summary units ------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import textwrap
 from pathlib import Path
@@ -123,6 +124,29 @@ class TestLockOrderCycle:
         assert [f for f in report.active if f.detector == "lock-order-cycle"]
 
 
+class TestRawPublish:
+    def test_unfsynced_write_then_replace_fires(self):
+        # The torn-write publish (data renamed into place with no fsync) is
+        # one of the renames raw-publish reports.
+        report = _run_single("raw-publish", _fixture("raw-publish", "pos"))
+        lines = [f.line for f in report.active if f.detector == "raw-publish"]
+        assert lines == [12, 16, 23]
+
+
+class TestUnorderedIteration:
+    def test_class_body_is_a_scope(self, tmp_path):
+        src = tmp_path / "mod.py"
+        src.write_text(textwrap.dedent("""\
+            class Table:
+                COLS = list({"x", "y"})
+                JOINED = ",".join({"p", "q"})
+                NAMES = {"a", "b"}
+                ORDER = tuple(NAMES)
+            """))
+        report = _run_single("unordered-iteration", src)
+        assert [f.line for f in report.active] == [2, 3, 5]
+
+
 class TestSuppression:
     def test_inline_disable(self, tmp_path):
         src = tmp_path / "mod.py"
@@ -210,6 +234,27 @@ class TestReporters:
 
 class TestSelfScan:
     """The repo gates itself: src/repro must stay clean at error severity."""
+
+    def test_one_walk_per_module(self, monkeypatch):
+        # The loader walks each tree once and detectors query its type
+        # index; the remaining traversals are per-scope and small-subtree
+        # walks.  Counting child expansions keeps that honest.
+        package_root = Path(repro.__file__).parent
+        nodes = sum(
+            sum(1 for _ in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+            for path in package_root.rglob("*.py")
+        )
+        calls = 0
+        original = ast.iter_child_nodes
+
+        def counting(node):
+            nonlocal calls
+            calls += 1
+            return original(node)
+
+        monkeypatch.setattr(ast, "iter_child_nodes", counting)
+        Analyzer().run([package_root])
+        assert calls <= 3 * nodes, f"{calls} child expansions for {nodes} nodes"
 
     def test_src_repro_has_no_errors(self):
         package_root = Path(repro.__file__).parent
